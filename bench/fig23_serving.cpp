@@ -10,9 +10,11 @@
 //
 // Sweep: requests/s and p50/p99 request→crop latency vs viewer count
 // (64 → 2048). Ablation at 512 viewers: warm cache vs cold plans
-// (cache_budget=0 — every frame rebuilds its maps and plans) and coalesced
+// (cache_budget=0 — every frame rebuilds its view entries: each window's
+// map copied out of the level LUT, its plan and its output) and coalesced
 // vs uncoalesced (every request executes alone). The CI smoke job asserts
-// the two ratios: warm >= 3x cold, coalesced >= 1.2x uncoalesced.
+// the two ratios: 1.1x <= warm/cold <= 4x (the upper bound catches misses
+// recomputing their maps), coalesced >= 1.2x uncoalesced.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -256,9 +258,10 @@ int main(int argc, char** argv) {
                "collapses to a handful — zipf duplicates dedup outright and "
                "overlapping hotspots merge under the union-area guard, so "
                "added viewers cost crop copies, not kernel work. The ablation "
-               "shows both "
-               "mechanisms: cold plans (cache_budget=0) rebuild every view's "
-               "maps each frame (warm >= 3x), and uncoalesced serving "
+               "shows both mechanisms: cold plans (cache_budget=0) rebuild "
+               "every view entry each frame, but copy its map out of the "
+               "level LUT instead of recomputing it, so the cache pays a "
+               "modest margin (1.1x <= warm/cold <= 4x); uncoalesced serving "
                "re-executes every duplicate (coalesced >= 1.2x).\n";
   return 0;
 }

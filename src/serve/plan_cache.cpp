@@ -4,9 +4,54 @@
 
 namespace fisheye::serve {
 
+namespace {
+
+/// Compact mode pads windows one stride right/bottom (see
+/// build_cached_view); the other representations need no padding.
+[[nodiscard]] int window_pad(const ViewBuildContext& build) noexcept {
+  return build.mode == core::MapMode::CompactLut ? build.compact_stride : 0;
+}
+
+/// The `window` region of `lut`, copied row by row.
+[[nodiscard]] core::WarpMap crop_map(const core::WarpMap& lut,
+                                     par::Rect window) {
+  FE_EXPECTS(window.x0 >= 0 && window.y0 >= 0 && window.x1 <= lut.width &&
+             window.y1 <= lut.height);
+  core::WarpMap map;
+  map.width = window.width();
+  map.height = window.height();
+  map.src_x.reserve(map.pixel_count());
+  map.src_y.reserve(map.pixel_count());
+  for (int y = window.y0; y < window.y1; ++y) {
+    const auto first = static_cast<std::ptrdiff_t>(lut.index(window.x0, y));
+    const auto last = first + map.width;
+    map.src_x.insert(map.src_x.end(), lut.src_x.begin() + first,
+                     lut.src_x.begin() + last);
+    map.src_y.insert(map.src_y.end(), lut.src_y.begin() + first,
+                     lut.src_y.begin() + last);
+  }
+  return map;
+}
+
+}  // namespace
+
+core::WarpMap build_level_lut(const ViewBuildContext& build, int quantum) {
+  FE_EXPECTS(build.camera != nullptr && build.view != nullptr);
+  FE_EXPECTS(quantum > 0);
+  const auto round_up = [quantum](int v) {
+    return (v + quantum - 1) / quantum * quantum;
+  };
+  const int pad = window_pad(build);
+  return core::build_map_window(
+      *build.camera, *build.view,
+      {0, 0, round_up(build.view->width()) + pad,
+       round_up(build.view->height()) + pad});
+}
+
 std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
                                               const ViewKey& key) {
-  FE_EXPECTS(build.camera != nullptr && build.view != nullptr);
+  FE_EXPECTS(build.lut != nullptr ||
+             (build.camera != nullptr && build.view != nullptr));
   FE_EXPECTS(!key.rect.empty());
   FE_EXPECTS(build.mode != core::MapMode::OnTheFly);
 
@@ -19,13 +64,14 @@ std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
   // serving pixel (width-1, height-1) then land on *sampled* positions, so
   // reconstruction matches the full level map (whose grid, thanks to the
   // stride-aligned window origin, samples the same absolute positions).
-  const int pad =
-      build.mode == core::MapMode::CompactLut ? build.compact_stride : 0;
+  const int pad = window_pad(build);
   if (pad != 0) FE_EXPECTS(key.rect.x0 % build.compact_stride == 0 &&
                            key.rect.y0 % build.compact_stride == 0);
   const par::Rect window{key.rect.x0, key.rect.y0, key.rect.x1 + pad,
                          key.rect.y1 + pad};
-  entry->map = core::build_map_window(*build.camera, *build.view, window);
+  entry->map = build.lut != nullptr
+                   ? crop_map(*build.lut, window)
+                   : core::build_map_window(*build.camera, *build.view, window);
   if (build.mode == core::MapMode::PackedLut)
     entry->packed = core::pack_map(entry->map, build.src_width,
                                    build.src_height, build.frac_bits);

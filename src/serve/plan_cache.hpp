@@ -1,15 +1,16 @@
 // PlanCache: per-view execution plans for the serving layer.
 //
 // A cached view is everything the steady state needs to correct one
-// coalesced PTZ region: the windowed warp map (built straight from the
-// camera math, bit-exact vs the corresponding crop of the full level map),
-// its packed/compact conversion when the server runs those representations,
-// a service ExecutionPlan (Morton-ordered tiles, workspace arena, resolved
+// coalesced PTZ region: the windowed warp map (a bit-exact crop of the
+// level's full map, copied out of the server's per-level LUT), its
+// packed/compact conversion when the server runs those representations, a
+// service ExecutionPlan (Morton-ordered tiles, workspace arena, resolved
 // kernel, instrumentation slots), and the shared output buffer client crops
-// are copied from. Building an entry is the expensive miss — per-pixel
-// trigonometry for the map, plan construction, output allocation; a hit is
-// a hash lookup plus an intrusive LRU splice, and from there the frame
-// reaches steady-state correction with zero allocations.
+// are copied from. A miss copies the window's rows out of the level LUT
+// and then pays for the representation conversion, plan construction and
+// output allocation; no per-pixel trigonometry runs on the serving path.
+// A hit is a hash lookup plus an intrusive LRU splice, and from there the
+// frame reaches steady-state correction with zero allocations.
 //
 // Keying: (calibration generation, level, quantized view rect). The
 // backend spec is fixed per server, so it lives outside the key — lookups
@@ -79,6 +80,10 @@ struct CachedView {
 struct ViewBuildContext {
   const core::FisheyeCamera* camera = nullptr;
   const core::ViewProjection* view = nullptr;  ///< the key's level view
+  /// The key's level LUT (see build_level_lut), or null to evaluate the
+  /// window from camera + view instead. When set, the entry's map is a
+  /// copy of the window's rows of this map; camera and view are unused.
+  const core::WarpMap* lut = nullptr;
   int src_width = 0;
   int src_height = 0;
   int channels = 1;
@@ -99,9 +104,17 @@ inline constexpr const char* kServePlanName = "serve";
 /// and output buffer. The quantized rect origin must be stride-aligned in
 /// compact mode (the server's quantum enforces it) — that alignment is
 /// what makes the windowed compact grid coincide with the full level
-/// grid, keeping served crops bit-exact vs a standalone correction.
+/// grid, keeping served crops bit-exact vs a standalone correction. With
+/// `build.lut` set the padded window must lie inside the LUT.
 [[nodiscard]] std::unique_ptr<CachedView> build_cached_view(
     const ViewBuildContext& build, const ViewKey& key);
+
+/// The float map of `build.view`'s quantized domain, from which
+/// build_cached_view copies windows: the view's dims rounded up to
+/// `quantum` (quantized rects of a 180-px-high level reach row 192), plus
+/// one compact stride right/bottom in compact mode.
+[[nodiscard]] core::WarpMap build_level_lut(const ViewBuildContext& build,
+                                            int quantum);
 
 /// LRU + byte-budget cache of CachedViews. Single-writer: the server's
 /// one-dispatch-at-a-time invariant serializes all access, so the cache

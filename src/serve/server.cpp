@@ -158,6 +158,7 @@ Server::Server(ServerConfig config, ServeOptions options,
     level_views_.push_back(std::make_unique<core::PerspectiveView>(
         level.width, level.height, level.focal));
   }
+  build_level_luts_();
 
   // Slot count: one open (accumulating), one active, queue_depth parked.
   slots_.resize(options_.queue_depth + 2);
@@ -200,6 +201,29 @@ std::size_t Server::tile_count_(par::Rect r) const noexcept {
   const auto div_up = [](int v, int d) { return (v + d - 1) / d; };
   return static_cast<std::size_t>(div_up(r.width(), options_.tile_w)) *
          static_cast<std::size_t>(div_up(r.height(), options_.tile_h));
+}
+
+ViewBuildContext Server::build_context_(std::size_t level) const {
+  ViewBuildContext build;
+  build.camera = camera_.get();
+  build.view = level_views_[level].get();
+  build.src_width = config_.src_width;
+  build.src_height = config_.src_height;
+  build.channels = config_.channels;
+  build.remap = config_.remap;
+  build.mode = options_.map_mode;
+  build.compact_stride = options_.compact_stride;
+  build.frac_bits = options_.frac_bits;
+  build.tile_w = options_.tile_w;
+  build.tile_h = options_.tile_h;
+  return build;
+}
+
+void Server::build_level_luts_() {
+  level_luts_.clear();
+  for (std::size_t level = 0; level < level_views_.size(); ++level)
+    level_luts_.push_back(
+        build_level_lut(build_context_(level), options_.quantum));
 }
 
 std::uint64_t Server::request(int level, par::Rect rect,
@@ -253,14 +277,11 @@ std::uint64_t Server::submit_frame(img::ConstImageView<std::uint8_t> src) {
   // lock: if the frame merely went Queued, a worker's complete_frame_
   // could dispatch AND complete it during that wait, and a post-wait
   // `!active_` check would dispatch the same slot a second time.
-  const bool start = !active_;
-  if (start) {
-    active_ = true;
-    active_slot_ = submitted;
-    slot.state = SlotState::Active;
-  } else {
+  bool start = false;
+  if (active_)
     slot.state = SlotState::Queued;
-  }
+  else
+    start = activate_locked_(submitted);
   // Reopen: wait for a free slot to accumulate the next frame's requests
   // (backpressure — all slots busy means queue_depth frames are parked).
   cv_.wait(lock, [this] {
@@ -281,7 +302,36 @@ std::uint64_t Server::submit_frame(img::ConstImageView<std::uint8_t> src) {
   return fid;
 }
 
+bool Server::activate_locked_(std::size_t slot_index) {
+  slots_[slot_index].state = SlotState::Active;
+  active_slot_ = slot_index;
+  active_ = true;
+  // A dispatch_ still returning from the previous frame's submit loop takes
+  // this frame over: a second dispatch_ would refill the lane fifos and the
+  // cluster table while the first may still be reading them.
+  if (dispatching_) {
+    handoff_ = true;
+    return false;
+  }
+  dispatching_ = true;
+  return true;
+}
+
 void Server::dispatch_(std::size_t slot_index) {
+  for (;;) {
+    submit_clusters_(slot_index);
+    const std::scoped_lock lock(mu_);
+    if (!handoff_) {
+      dispatching_ = false;
+      cv_.notify_all();
+      return;
+    }
+    handoff_ = false;
+    slot_index = active_slot_;
+  }
+}
+
+void Server::submit_clusters_(std::size_t slot_index) {
   FrameSlot& slot = slots_[slot_index];
   const std::uint64_t fid = slot.frame_id;
 
@@ -289,7 +339,7 @@ void Server::dispatch_(std::size_t slot_index) {
   const std::vector<ViewCluster>& clusters = coalescer_.clusters();
 
   // Resolve every cluster through the cache before any submit: misses
-  // build maps/plans (slow), and eviction during the builds must see the
+  // build entries (slow), and eviction during the builds must see the
   // frame's pins on every entry it already resolved.
   cluster_entries_.clear();
   std::size_t hits = 0;
@@ -299,18 +349,9 @@ void Server::dispatch_(std::size_t slot_index) {
     const ViewKey key{generation_, cl.level, cl.bounds};
     CachedView* e = cache_.find(key, fid);
     if (e == nullptr) {
-      ViewBuildContext build;
-      build.camera = camera_.get();
-      build.view = level_views_[static_cast<std::size_t>(cl.level)].get();
-      build.src_width = config_.src_width;
-      build.src_height = config_.src_height;
-      build.channels = config_.channels;
-      build.remap = config_.remap;
-      build.mode = options_.map_mode;
-      build.compact_stride = options_.compact_stride;
-      build.frac_bits = options_.frac_bits;
-      build.tile_w = options_.tile_w;
-      build.tile_h = options_.tile_h;
+      const auto level = static_cast<std::size_t>(cl.level);
+      ViewBuildContext build = build_context_(level);
+      build.lut = &level_luts_[level];
       e = &cache_.insert(build_cached_view(build, key), fid);
     } else {
       ++hits;
@@ -351,10 +392,14 @@ void Server::dispatch_(std::size_t slot_index) {
             : ViewKeyHash{}(cluster_entries_[c]->key) % lanes_.size();
     lanes_[lane_index].fifo.push_back(c);
   }
+  // Return right after the last submit: from then on the frame can
+  // complete and its slot be recycled, so nothing here may be read again.
+  std::size_t unsubmitted = clusters.size();
   for (Lane& lane : lanes_) {
     for (const std::uint32_t c : lane.fifo) {
       CachedView* e = cluster_entries_[c];
       exec_->submit(lane.id, e->plan, slot.src, e->out.view());
+      if (--unsubmitted == 0) return;
     }
   }
 }
@@ -428,11 +473,10 @@ void Server::complete_frame_() {
     cv_.notify_all();
     return;
   }
-  slots_[next].state = SlotState::Active;
-  active_slot_ = next;
+  const bool start = activate_locked_(next);
   cv_.notify_all();
   lock.unlock();
-  dispatch_(next);
+  if (start) dispatch_(next);
 }
 
 void Server::drain() {
@@ -445,7 +489,7 @@ void Server::drain() {
 
 void Server::wait_idle_locked_(std::unique_lock<std::mutex>& lock) {
   cv_.wait(lock, [this] {
-    return !active_ &&
+    return !active_ && !dispatching_ &&
            std::none_of(slots_.begin(), slots_.end(), [](const FrameSlot& s) {
              return s.state == SlotState::Queued;
            });
@@ -459,6 +503,7 @@ void Server::recalibrate(const core::LensSpec& lens) {
   config_.fov_rad = lens.fov_rad();
   camera_ = std::make_unique<core::FisheyeCamera>(core::FisheyeCamera::centered(
       lens, config_.src_width, config_.src_height));
+  build_level_luts_();
   ++generation_;  // old cached views are invalid by key from here on
   cache_.flush();
   stats_.plan_evictions = cache_.stats().evictions;

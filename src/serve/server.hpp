@@ -2,19 +2,22 @@
 //
 // One fisheye source, N concurrent viewers, each with an independent
 // pan/tilt/zoom view. The server exposes a discrete zoom pyramid (each
-// LevelSpec is a PerspectiveView of its own focal — constructing a level
-// is free, maps are built per *view region* on demand); a client request
-// is (level, rect in level output space, destination crop). Pan/tilt is
-// the rect position, zoom is the level index.
+// LevelSpec is a PerspectiveView of its own focal); a client request is
+// (level, rect in level output space, destination crop). Pan/tilt is the
+// rect position, zoom is the level index. Like the paper's corrector, the
+// server computes each level's warp map once per calibration: one float
+// LUT per level over its quantized domain, built at construction and again
+// by recalibrate() (Σ quantized level area × 8 B, held outside
+// cache_budget). Serving only ever copies windows out of it.
 //
 // Per source frame the pipeline is: quantize request rects (origin down,
 // extent up, to `quantum` px — transparent to clients, crops stay exact) →
 // coalesce duplicates/overlaps into clusters (Coalescer) → resolve each
-// cluster through the PlanCache (hit: zero-allocation; miss: build the
-// windowed map + plan) → fan clusters out across plan-stream lanes of a
-// stream::StreamExecutor → on cluster retire, copy member crops out of the
-// shared cluster output and fire the per-request retire callback with the
-// true request→crop latency.
+// cluster through the PlanCache (hit: zero-allocation; miss: copy the
+// window out of the level LUT, convert it, build the plan) → fan clusters
+// out across plan-stream lanes of a stream::StreamExecutor → on cluster
+// retire, copy member crops out of the shared cluster output and fire the
+// per-request retire callback with the true request→crop latency.
 //
 // Backpressure is two-level: request() blocks when the open frame already
 // holds max_pending requests, submit_frame() blocks when queue_depth
@@ -147,10 +150,10 @@ class Server {
   void drain();
 
   /// Swap the lens model (new calibration): waits for in-flight frames,
-  /// bumps the calibration generation and flushes the PlanCache — every
-  /// cached view of the old calibration is invalid by key. The spec form
-  /// carries calibration parameters and field of view; the (kind, fov)
-  /// form wraps it for existing call sites.
+  /// rebuilds the level LUTs, bumps the calibration generation and flushes
+  /// the PlanCache — every cached view of the old calibration is invalid
+  /// by key. The spec form carries calibration parameters and field of
+  /// view; the (kind, fov) form wraps it for existing call sites.
   void recalibrate(const core::LensSpec& lens);
   void recalibrate(core::LensKind lens, double fov_rad);
 
@@ -198,7 +201,11 @@ class Server {
 
   [[nodiscard]] par::Rect quantize_(par::Rect r) const noexcept;
   [[nodiscard]] std::size_t tile_count_(par::Rect r) const noexcept;
+  [[nodiscard]] ViewBuildContext build_context_(std::size_t level) const;
+  void build_level_luts_();
+  [[nodiscard]] bool activate_locked_(std::size_t slot_index);
   void dispatch_(std::size_t slot_index);
+  void submit_clusters_(std::size_t slot_index);
   void on_lane_retire_(std::size_t lane_index);
   void complete_frame_();
   void wait_idle_locked_(std::unique_lock<std::mutex>& lock);
@@ -207,6 +214,9 @@ class Server {
   ServeOptions options_;
   std::unique_ptr<core::FisheyeCamera> camera_;
   std::vector<std::unique_ptr<core::PerspectiveView>> level_views_;
+  /// One per level (build_level_lut); read by the dispatcher's misses,
+  /// rebuilt by recalibrate() while no frame is in flight.
+  std::vector<core::WarpMap> level_luts_;
   std::uint64_t generation_ = 1;
   rt::Stopwatch epoch_;
   RetireFn retire_;
@@ -219,13 +229,18 @@ class Server {
   std::size_t open_ = 0;         ///< slot accumulating requests
   std::size_t active_slot_ = 0;  ///< slot whose clusters are in flight
   bool active_ = false;
+  /// A thread is inside dispatch_. Only one runs at a time: a frame
+  /// activated meanwhile is handed off (`handoff_`) to that dispatch_,
+  /// which picks it up after its submit loop.
+  bool dispatching_ = false;
+  bool handoff_ = false;
   std::uint64_t req_seq_ = 0;
   std::uint64_t frame_seq_ = 0;
   rt::ServeStats stats_;  ///< producer-side counters under mu_
 
   // Dispatch/retire state. Touched only by the single dispatcher (the
-  // one-active-frame invariant) and, for lanes' heads, by that lane's
-  // serialized retire callbacks.
+  // one-active-frame and one-dispatch_ invariants) and, for lanes' heads,
+  // by that lane's serialized retire callbacks.
   PlanCache cache_;
   Coalescer coalescer_;
   std::vector<CachedView*> cluster_entries_;

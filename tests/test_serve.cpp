@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <random>
 #include <string>
@@ -20,6 +22,7 @@
 #include "core/corrector.hpp"
 #include "image/image.hpp"
 #include "serve/coalesce.hpp"
+#include "serve/plan_cache.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
@@ -173,6 +176,116 @@ TEST(ServeExactness, PackedMapRandomOverlappingViews) {
 
 TEST(ServeExactness, CompactMapRandomOverlappingViews) {
   check_random_views_exact("serve:lanes=2,quantum=16,map=compact:8");
+}
+
+/// Windows that touch a level's right and bottom edges, on levels whose
+/// dims are not multiples of the quantum: quantized rects then reach past
+/// the level (250 -> 256, 180 -> 192), and compact windows one stride
+/// further, so the level LUT must cover the whole quantized domain.
+void check_edge_windows_exact(const std::string& spec_text) {
+  const img::Image8 src = make_src();
+  ServerConfig cfg = base_config();
+  cfg.levels = {{250, 180, 0.0}, {250, 180, 140.0}};
+  const ServeOptions opt = ServeOptions::parse(spec_text);
+  const int w = 250, h = 180;
+  const std::vector<par::Rect> rects = {
+      {w - 72, h - 56, w, h},  // bottom-right corner
+      {0, h - 40, 88, h},      // bottom edge
+      {w - 40, 8, w, 70},      // right edge
+      {0, 0, w, h}};           // the whole level
+  const auto quantize = [q = opt.quantum](par::Rect r) {
+    return par::Rect{(r.x0 / q) * q, (r.y0 / q) * q,
+                     ((r.x1 + q - 1) / q) * q, ((r.y1 + q - 1) / q) * q};
+  };
+
+  // Entries copied out of the level LUT hold the same arrays as entries
+  // evaluated from the camera math.
+  core::LensSpec lens = cfg.lens;
+  lens.fov_deg = util::rad_to_deg(cfg.fov_rad);
+  const auto cam = core::FisheyeCamera::centered(lens, kSrcW, kSrcH);
+  for (int l = 0; l < 2; ++l) {
+    const serve::LevelSpec& spec = cfg.levels[static_cast<std::size_t>(l)];
+    const core::PerspectiveView view(
+        w, h, spec.focal == 0.0 ? cam.lens().dradius_dtheta(0.0) : spec.focal);
+    serve::ViewBuildContext scratch;
+    scratch.camera = &cam;
+    scratch.view = &view;
+    scratch.src_width = kSrcW;
+    scratch.src_height = kSrcH;
+    scratch.mode = opt.map_mode;
+    scratch.compact_stride = opt.compact_stride;
+    scratch.frac_bits = opt.frac_bits;
+    const core::WarpMap lut = serve::build_level_lut(scratch, opt.quantum);
+    serve::ViewBuildContext copied = scratch;
+    copied.lut = &lut;
+    for (const par::Rect& r : rects) {
+      const serve::ViewKey key{1, l, quantize(r)};
+      const auto a = serve::build_cached_view(scratch, key);
+      const auto b = serve::build_cached_view(copied, key);
+      ASSERT_EQ(a->map.width, b->map.width);
+      ASSERT_EQ(a->map.height, b->map.height);
+      const std::size_t bytes = a->map.pixel_count() * sizeof(float);
+      EXPECT_EQ(0, std::memcmp(a->map.src_x.data(), b->map.src_x.data(), bytes))
+          << spec_text << " level " << l;
+      EXPECT_EQ(0, std::memcmp(a->map.src_y.data(), b->map.src_y.data(), bytes))
+          << spec_text << " level " << l;
+      ASSERT_EQ(a->packed.has_value(), b->packed.has_value());
+      if (a->packed) {
+        EXPECT_EQ(a->packed->fx, b->packed->fx) << spec_text;
+        EXPECT_EQ(a->packed->fy, b->packed->fy) << spec_text;
+      }
+      ASSERT_EQ(a->compact.has_value(), b->compact.has_value());
+      if (a->compact) {
+        EXPECT_EQ(a->compact->gx, b->compact->gx) << spec_text;
+        EXPECT_EQ(a->compact->gy, b->compact->gy) << spec_text;
+      }
+    }
+  }
+
+  // Served crops match the full level, one frame per rect so that each
+  // is served from its own cluster (the whole level would absorb the
+  // others). The full level's compact grid extrapolates its trailing line
+  // where a window samples it, so in compact mode only the part of each
+  // crop clear of that margin compares.
+  par::ThreadPool pool(2);
+  Server server(cfg, opt, pool);
+  const int margin =
+      opt.map_mode == core::MapMode::CompactLut ? 2 * opt.quantum : 0;
+  const img::Image8 refs[] = {reference_level(cfg, opt, 0, src.cview()),
+                              reference_level(cfg, opt, 1, src.cview())};
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    const par::Rect r = rects[i];
+    std::vector<img::Image8> crops;
+    crops.reserve(2);
+    for (int l = 0; l < 2; ++l) {
+      crops.emplace_back(r.width(), r.height(), 1);
+      server.request(l, r, crops.back().view());
+    }
+    server.submit_frame(src.cview());
+    server.drain();
+    const par::Rect exact{r.x0, r.y0, std::min(r.x1, w - margin),
+                          std::min(r.y1, h - margin)};
+    for (int l = 0; l < 2; ++l) {
+      const img::ConstImageView<std::uint8_t> crop =
+          crops[static_cast<std::size_t>(l)].cview();
+      const img::ConstImageView<std::uint8_t> part(
+          crop.row(0), exact.width(), exact.height(), 1, crop.pitch);
+      EXPECT_EQ(0, mismatches(refs[l].cview(), exact, part, 1))
+          << spec_text << " level " << l << " rect " << i;
+    }
+  }
+}
+
+TEST(ServeExactness, FloatMapEdgeWindows) {
+  check_edge_windows_exact("serve:lanes=2,quantum=16,map=float");
+}
+
+TEST(ServeExactness, PackedMapEdgeWindows) {
+  check_edge_windows_exact("serve:lanes=2,quantum=16,map=packed");
+}
+
+TEST(ServeExactness, CompactMapEdgeWindows) {
+  check_edge_windows_exact("serve:lanes=2,quantum=16,map=compact:8");
 }
 
 TEST(ServeExactness, CoalescedAndUncoalescedServeIdenticalCrops) {
@@ -469,6 +582,49 @@ TEST(ServePipeline, ManyQueuedFramesRetireInOrderUnderBackpressure) {
   EXPECT_EQ(stats.retired, 12u);
   EXPECT_EQ(stats.plan_misses, 5u);
   EXPECT_EQ(stats.plan_hits, 7u);
+}
+
+TEST(ServePipeline, BackToBackFramesRetireEveryRequestOnce) {
+  // Frames of one or two one-tile views, submitted without draining, so
+  // queued frames dispatch from the worker that completes the previous
+  // frame while that frame's dispatcher may still be returning from its
+  // submit loop. Each tag must retire exactly once.
+  const img::Image8 src = make_src();
+  par::ThreadPool pool(4);
+  Server server(base_config(),
+                ServeOptions::parse("serve:lanes=4,queue_depth=4,tile=16x16"),
+                pool);
+  constexpr int kFrames = 3000;
+  std::vector<std::atomic<int>> retired(2 * kFrames);
+  server.set_retire([&retired](std::uint64_t, std::uint64_t tag, double) {
+    retired[tag].fetch_add(1, std::memory_order_relaxed);
+  });
+
+  img::Image8 crop_a(16, 16, 1), crop_b(16, 16, 1);
+  std::size_t requests = 0;
+  for (int f = 0; f < kFrames; ++f) {
+    const auto tag = static_cast<std::uint64_t>(2 * f);
+    server.request(0, {0, 0, 16, 16}, crop_a.view(), tag);
+    ++requests;
+    if (f % 2 == 1) {
+      server.request(0, {128, 96, 144, 112}, crop_b.view(), tag + 1);
+      ++requests;
+    }
+    server.submit_frame(src.cview());
+  }
+  server.drain();
+
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(retired[static_cast<std::size_t>(2 * f)].load(), 1)
+        << "frame " << f;
+    EXPECT_EQ(retired[static_cast<std::size_t>(2 * f + 1)].load(),
+              f % 2 == 1 ? 1 : 0)
+        << "frame " << f;
+  }
+  const rt::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.frames, static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(stats.requests, requests);
+  EXPECT_EQ(stats.retired, requests);
 }
 
 // --- request validation -----------------------------------------------------
