@@ -114,17 +114,25 @@ ExecutionPlan Corrector::prepare_stream(int channels, int tile_w,
 
 ExecutionPlan build_service_plan(const ExecContext& ctx, int tile_w, int tile_h,
                                  std::string plan_name, int tile_region_w,
-                                 int tile_region_h) {
+                                 int tile_region_h, const TileKeyFn& tile_key) {
   FE_EXPECTS(tile_w >= 8 && tile_h >= 8);
   if (tile_region_w == 0) tile_region_w = ctx.dst.width;
   if (tile_region_h == 0) tile_region_h = ctx.dst.height;
   FE_EXPECTS(tile_region_w >= 1 && tile_region_w <= ctx.dst.width);
   FE_EXPECTS(tile_region_h >= 1 && tile_region_h <= ctx.dst.height);
 
-  std::vector<par::Rect> tiles = order_tiles_by_source_locality(
-      ctx, par::partition(tile_region_w, tile_region_h,
-                          par::PartitionKind::Tiles, 0, tile_w, tile_h));
-  ExecutionPlan plan(plan_key(ctx, std::move(plan_name)), std::move(tiles));
+  const std::vector<par::Rect> tiles =
+      par::partition(tile_region_w, tile_region_h, par::PartitionKind::Tiles,
+                     0, tile_w, tile_h);
+  std::vector<par::Rect> keys;
+  if (tile_key) {
+    keys.reserve(tiles.size());
+    for (const par::Rect& t : tiles) keys.push_back(tile_key(t));
+  } else {
+    keys = source_locality_keys(ctx, tiles);
+  }
+  ExecutionPlan plan(plan_key(ctx, std::move(plan_name)),
+                     order_tiles_by_keys(tiles, keys));
   plan.set_kernel(resolve_kernel(ctx, KernelVariant::Scalar));
 
   Workspace& ws = plan.workspace();

@@ -13,6 +13,7 @@
 //   corr.correct(fisheye_frame.view(), out.view(), serial);
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -205,18 +206,24 @@ inline Corrector::Builder Corrector::builder(int src_width, int src_height) {
   return {src_width, src_height};
 }
 
+/// A tile's source-locality sort key (see core/tile_order.hpp), supplied
+/// by a caller that can bound a tile's source box without scanning the
+/// tile's map entries.
+using TileKeyFn = std::function<par::Rect(const par::Rect& tile)>;
+
 /// Build a service plan for `ctx` under PlanKey backend `plan_name`: a
 /// source-locality-ordered square-tile decomposition whose schedule
 /// permutation, instrumentation slots, and byte estimates are all sized
 /// here, so per-frame execution against the plan allocates nothing. Tiles
 /// cover [0,tile_region_w) x [0,tile_region_h) (0 = ctx.dst dims); the
 /// serving layer passes a region smaller than ctx.dst when the output
-/// carries compact-grid padding no client ever reads. Shared by
-/// Corrector::prepare_stream and serve::PlanCache.
-[[nodiscard]] ExecutionPlan build_service_plan(const ExecContext& ctx,
-                                               int tile_w, int tile_h,
-                                               std::string plan_name,
-                                               int tile_region_w = 0,
-                                               int tile_region_h = 0);
+/// carries compact-grid padding no client ever reads. Tiles are Morton
+/// ordered by `tile_key` when set, else by source_locality_keys(ctx) — a
+/// `tile_key` must return what that would, or the order changes (never
+/// the pixels). Shared by Corrector::prepare_stream and serve::PlanCache.
+[[nodiscard]] ExecutionPlan build_service_plan(
+    const ExecContext& ctx, int tile_w, int tile_h, std::string plan_name,
+    int tile_region_w = 0, int tile_region_h = 0,
+    const TileKeyFn& tile_key = {});
 
 }  // namespace fisheye::core

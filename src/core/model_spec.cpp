@@ -62,8 +62,11 @@ LensSpec LensSpec::parse(const std::string& text) {
     o.k[1] = spec.value_double("k2", o.k[1]);
     o.k[2] = spec.value_double("k3", o.k[2]);
     o.k[3] = spec.value_double("k4", o.k[3]);
+    // A name table, not "k" + std::to_string(i + 1): GCC 12 raises a false
+    // -Wrestrict on that concatenation in optimized builds.
+    static const char* const kNames[] = {"k1", "k2", "k3", "k4"};
     for (int i = 0; i < 4; ++i)
-      require_range(spec, "k" + std::to_string(i + 1), o.k[i], -5.0, 5.0);
+      require_range(spec, kNames[i], o.k[i], -5.0, 5.0);
   }
   if (o.kind == LensKind::Division) {
     o.lambda = spec.value_double("lambda", o.lambda);

@@ -29,10 +29,14 @@ namespace fisheye::core {
 [[nodiscard]] std::vector<par::Rect> source_locality_keys(
     const ExecContext& ctx, const std::vector<par::Rect>& tiles);
 
-/// `tiles` reordered by Morton code of their source_locality_keys
-/// centroid; tiles whose source box is empty (pure fill) go last. Every
-/// input tile appears exactly once — the partition coverage property is
-/// permutation-invariant and pinned by tests.
+/// `tiles` reordered by Morton code of their keys' centroids (`keys[i]`
+/// is the key of `tiles[i]`); tiles whose key is empty (pure fill) go
+/// last. Every input tile appears exactly once — the partition coverage
+/// property is permutation-invariant and pinned by tests.
+[[nodiscard]] std::vector<par::Rect> order_tiles_by_keys(
+    const std::vector<par::Rect>& tiles, const std::vector<par::Rect>& keys);
+
+/// order_tiles_by_keys under ctx's source_locality_keys.
 [[nodiscard]] std::vector<par::Rect> order_tiles_by_source_locality(
     const ExecContext& ctx, std::vector<par::Rect> tiles);
 

@@ -103,6 +103,13 @@ class StealQueue {
     size_.store(items_.size(), std::memory_order_relaxed);
   }
 
+  /// Grow the storage to hold `n` items, so that no later assign() of at
+  /// most `n` items reallocates.
+  void reserve(std::size_t n) {
+    const std::scoped_lock lock(mu_);
+    items_.reserve(n);
+  }
+
   /// Owner pop (LIFO tail). Returns false when empty.
   bool pop(std::uint32_t& out) {
     const std::scoped_lock lock(mu_);
@@ -176,6 +183,12 @@ class StealScheduler {
     remaining_.store(n, std::memory_order_relaxed);
     for (std::size_t w = 0; w < blocks_.size(); ++w) {
       FE_EXPECTS(runs[w] <= runs[w + 1]);
+      // Size the queue and the steal scratch for the whole frame: a steal
+      // or a parked loot run never holds more than n items, so the frame
+      // loop stays allocation-free however the frame's steals fall out
+      // (not only after warmup frames happened to hit the largest steal).
+      blocks_[w].queue.reserve(n);
+      blocks_[w].loot.reserve(n);
       blocks_[w].queue.assign(order, runs[w], runs[w + 1]);
       blocks_[w].foreign = false;
       blocks_[w].local = 0;

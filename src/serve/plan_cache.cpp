@@ -1,5 +1,8 @@
 #include "serve/plan_cache.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "util/error.hpp"
 
 namespace fisheye::serve {
@@ -48,12 +51,64 @@ core::WarpMap build_level_lut(const ViewBuildContext& build, int quantum) {
        round_up(build.view->height()) + pad});
 }
 
+BlockTable build_level_blocks(const ViewBuildContext& build, int quantum) {
+  FE_EXPECTS(build.lut != nullptr && quantum > 0);
+  const core::WarpMap& lut = *build.lut;
+  BlockTable t;
+  t.block_w = std::gcd(quantum, build.tile_w);
+  t.block_h = std::gcd(quantum, build.tile_h);
+  t.width = lut.width;
+  t.height = lut.height;
+  t.cols = (lut.width + t.block_w - 1) / t.block_w;
+  t.boxes.reserve(static_cast<std::size_t>(t.cols) *
+                  ((lut.height + t.block_h - 1) / t.block_h));
+  for (int y = 0; y < lut.height; y += t.block_h)
+    for (int x = 0; x < lut.width; x += t.block_w)
+      t.boxes.push_back(core::source_bbox(
+          lut,
+          {x, y, std::min(x + t.block_w, lut.width),
+           std::min(y + t.block_h, lut.height)},
+          build.src_width, build.src_height));
+  return t;
+}
+
+par::Rect BlockTable::bbox(par::Rect r) const {
+  const auto on_edge = [](int v, int block, int dim) {
+    return v % block == 0 || v == dim;
+  };
+  FE_EXPECTS(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= width && r.y1 <= height);
+  FE_EXPECTS(on_edge(r.x0, block_w, width) && on_edge(r.x1, block_w, width) &&
+             on_edge(r.y0, block_h, height) && on_edge(r.y1, block_h, height));
+  // A block's box is empty exactly when none of its pixels maps inside the
+  // source, so skipping empty boxes is source_bbox's validity rule.
+  par::Rect box;
+  const int bx1 = (r.x1 + block_w - 1) / block_w;
+  const int by1 = (r.y1 + block_h - 1) / block_h;
+  for (int by = r.y0 / block_h; by < by1; ++by) {
+    for (int bx = r.x0 / block_w; bx < bx1; ++bx) {
+      const par::Rect& b = boxes[static_cast<std::size_t>(by) * cols + bx];
+      if (b.empty()) continue;
+      if (box.empty()) {
+        box = b;
+        continue;
+      }
+      box.x0 = std::min(box.x0, b.x0);
+      box.y0 = std::min(box.y0, b.y0);
+      box.x1 = std::max(box.x1, b.x1);
+      box.y1 = std::max(box.y1, b.y1);
+    }
+  }
+  return box;
+}
+
 std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
                                               const ViewKey& key) {
   FE_EXPECTS(build.lut != nullptr ||
              (build.camera != nullptr && build.view != nullptr));
   FE_EXPECTS(!key.rect.empty());
   FE_EXPECTS(build.mode != core::MapMode::OnTheFly);
+  FE_EXPECTS(build.blocks == nullptr ||
+             (build.lut != nullptr && build.mode == core::MapMode::FloatLut));
 
   auto entry = std::make_unique<CachedView>();
   entry->key = key;
@@ -98,9 +153,18 @@ std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
   ctx.compact = entry->compact ? &*entry->compact : nullptr;
   ctx.opts = build.remap;
   ctx.mode = build.mode;
-  entry->plan =
-      core::build_service_plan(ctx, build.tile_w, build.tile_h,
-                               kServePlanName, entry->width, entry->height);
+  // With the level's block table, a tile's key is the union of its
+  // blocks' boxes: the tile shifted into level space, where the window is a
+  // crop of the LUT, so the key equals source_bbox of the entry's own map.
+  core::TileKeyFn tile_key;
+  if (build.blocks != nullptr)
+    tile_key = [blocks = build.blocks, x0 = key.rect.x0,
+                y0 = key.rect.y0](const par::Rect& t) {
+      return blocks->bbox({t.x0 + x0, t.y0 + y0, t.x1 + x0, t.y1 + y0});
+    };
+  entry->plan = core::build_service_plan(ctx, build.tile_w, build.tile_h,
+                                         kServePlanName, entry->width,
+                                         entry->height, tile_key);
 
   std::size_t bytes = sizeof(CachedView) + entry->map.bytes();
   if (entry->packed) bytes += entry->packed->bytes();

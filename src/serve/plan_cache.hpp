@@ -6,11 +6,13 @@
 // packed/compact conversion when the server runs those representations, a
 // service ExecutionPlan (Morton-ordered tiles, workspace arena, resolved
 // kernel, instrumentation slots), and the shared output buffer client crops
-// are copied from. A miss copies the window's rows out of the level LUT
-// and then pays for the representation conversion, plan construction and
-// output allocation; no per-pixel trigonometry runs on the serving path.
-// A hit is a hash lookup plus an intrusive LRU splice, and from there the
-// frame reaches steady-state correction with zero allocations.
+// are copied from. A miss copies the window's rows out of the level LUT,
+// converts them, and plans: in float mode each tile's source-locality key
+// is the union of a few entries of the level's BlockTable, so planning
+// costs O(tiles), not a scan of the window's map. The window copy is then
+// the only per-pixel work of a miss; no trigonometry runs on the serving
+// path. A hit is a hash lookup plus an intrusive LRU splice, and from
+// there the frame reaches steady-state correction with zero allocations.
 //
 // Keying: (calibration generation, level, quantized view rect). The
 // backend spec is fixed per server, so it lives outside the key — lookups
@@ -23,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "core/corrector.hpp"
 #include "image/image.hpp"
@@ -76,6 +79,29 @@ struct CachedView {
   CachedView* lru_next = nullptr;
 };
 
+/// Source boxes of a level LUT, one per block_w x block_h block (row-major;
+/// the last column and row are truncated at the LUT edge): each entry is
+/// core::source_bbox of that block, computed once per calibration. Floor,
+/// min and max are monotone, so for a rect made of whole blocks the union
+/// of its blocks' boxes IS its source_bbox — exact, not a bound. The
+/// server sizes blocks gcd(quantum, tile) per axis: cluster origins sit on
+/// the quantum grid and tiles start every tile_w/tile_h px from there and
+/// end on a tile edge or the cluster's quantized edge, so every plan tile
+/// is whole blocks (16x16 for the defaults, 3.8 KB per 320x192 level).
+struct BlockTable {
+  int block_w = 0;
+  int block_h = 0;
+  int width = 0;  ///< LUT dims the table covers
+  int height = 0;
+  int cols = 0;  ///< blocks per row
+  std::vector<par::Rect> boxes;
+
+  /// source_bbox(lut, r, src_width, src_height) of the table's LUT, from
+  /// the table alone. `r` must lie in the LUT with every edge on a block
+  /// boundary (or the LUT edge).
+  [[nodiscard]] par::Rect bbox(par::Rect r) const;
+};
+
 /// Geometry + conversion parameters for building entries; fixed per server.
 struct ViewBuildContext {
   const core::FisheyeCamera* camera = nullptr;
@@ -84,6 +110,10 @@ struct ViewBuildContext {
   /// window from camera + view instead. When set, the entry's map is a
   /// copy of the window's rows of this map; camera and view are unused.
   const core::WarpMap* lut = nullptr;
+  /// `lut`'s BlockTable, or null to key tiles by scanning the window's
+  /// map. Float mode only (packed plans key on output tiles, compact plans
+  /// on their grid); its blocks must tile every plan tile of the window.
+  const BlockTable* blocks = nullptr;
   int src_width = 0;
   int src_height = 0;
   int channels = 1;
@@ -114,6 +144,12 @@ inline constexpr const char* kServePlanName = "serve";
 /// `quantum` (quantized rects of a 180-px-high level reach row 192), plus
 /// one compact stride right/bottom in compact mode.
 [[nodiscard]] core::WarpMap build_level_lut(const ViewBuildContext& build,
+                                            int quantum);
+
+/// The BlockTable of `*build.lut` whose blocks tile every plan tile of a
+/// quantum-aligned window: gcd(quantum, build.tile_w) x gcd(quantum,
+/// build.tile_h).
+[[nodiscard]] BlockTable build_level_blocks(const ViewBuildContext& build,
                                             int quantum);
 
 /// LRU + byte-budget cache of CachedViews. Single-writer: the server's

@@ -177,7 +177,7 @@ Server::Server(ServerConfig config, ServeOptions options,
   lanes_.resize(static_cast<std::size_t>(options_.lanes));
   exec_ = std::make_unique<stream::StreamExecutor>(pool, exec_opts);
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i].fifo.reserve(options_.max_pending);
+    lanes_[i].fifo.resize(options_.max_pending);
     lanes_[i].id = exec_->add_plan_stream(
         [this, i](stream::StreamId, std::uint64_t, double) {
           on_lane_retire_(i);
@@ -221,9 +221,14 @@ ViewBuildContext Server::build_context_(std::size_t level) const {
 
 void Server::build_level_luts_() {
   level_luts_.clear();
-  for (std::size_t level = 0; level < level_views_.size(); ++level)
-    level_luts_.push_back(
-        build_level_lut(build_context_(level), options_.quantum));
+  level_blocks_.clear();
+  for (std::size_t level = 0; level < level_views_.size(); ++level) {
+    ViewBuildContext build = build_context_(level);
+    level_luts_.push_back(build_level_lut(build, options_.quantum));
+    if (options_.map_mode != core::MapMode::FloatLut) continue;
+    build.lut = &level_luts_.back();
+    level_blocks_.push_back(build_level_blocks(build, options_.quantum));
+  }
 }
 
 std::uint64_t Server::request(int level, par::Rect rect,
@@ -337,70 +342,64 @@ void Server::submit_clusters_(std::size_t slot_index) {
 
   coalescer_.coalesce(slot.views, options_.coalesce);
   const std::vector<ViewCluster>& clusters = coalescer_.clusters();
-
-  // Resolve every cluster through the cache before any submit: misses
-  // build entries (slow), and eviction during the builds must see the
-  // frame's pins on every entry it already resolved.
-  cluster_entries_.clear();
-  std::size_t hits = 0;
+  const std::size_t n = clusters.size();
   std::size_t tiles_exec = 0;
   std::size_t tiles_indep = 0;
-  for (const ViewCluster& cl : clusters) {
+  for (const QuantizedView& v : slot.views) tiles_indep += tile_count_(v.rect);
+  // Hit/miss/eviction counts come from cache_.stats() at frame completion.
+  const auto count_frame = [&] {
+    const std::scoped_lock lock(mu_);
+    ++stats_.frames;
+    stats_.clusters += n;
+    stats_.tiles_executed += tiles_exec;
+    stats_.tiles_requested += tiles_indep;
+  };
+  if (n == 0) {
+    count_frame();
+    complete_frame_();
+    return;
+  }
+
+  // Resolve each cluster through the cache and submit it at once, so the
+  // workers execute cluster k while this thread builds the miss of cluster
+  // k+1. Three invariants make that safe:
+  //  * an entry is pinned to the frame when it is resolved, so the
+  //    evictions of later inserts skip every entry already submitted;
+  //  * a cluster's lane fifo slot is written before its own submit, and a
+  //    lane retires in submit order, so each retire callback reads a slot
+  //    written before its cluster was submitted;
+  //  * remaining_clusters_ counts the whole frame before the first submit,
+  //    so complete_frame_ cannot run before the last one.
+  for (Lane& lane : lanes_) {
+    lane.tail = 0;
+    lane.head = 0;
+  }
+  cluster_entries_.resize(n);
+  remaining_clusters_.store(n, std::memory_order_relaxed);
+  for (std::uint32_t c = 0; c < n; ++c) {
+    const ViewCluster& cl = clusters[c];
     const ViewKey key{generation_, cl.level, cl.bounds};
     CachedView* e = cache_.find(key, fid);
     if (e == nullptr) {
       const auto level = static_cast<std::size_t>(cl.level);
       ViewBuildContext build = build_context_(level);
       build.lut = &level_luts_[level];
+      if (!level_blocks_.empty()) build.blocks = &level_blocks_[level];
       e = &cache_.insert(build_cached_view(build, key), fid);
-    } else {
-      ++hits;
     }
-    cluster_entries_.push_back(e);
+    cluster_entries_[c] = e;
     tiles_exec += e->plan.tiles().size();
-  }
-  for (const QuantizedView& v : slot.views) tiles_indep += tile_count_(v.rect);
-
-  {
-    const std::scoped_lock lock(mu_);
-    ++stats_.frames;
-    stats_.clusters += clusters.size();
-    stats_.tiles_executed += tiles_exec;
-    stats_.tiles_requested += tiles_indep;
-    (void)hits;  // hit/miss/eviction counts come from cache_.stats()
-  }
-
-  if (clusters.empty()) {
-    complete_frame_();
-    return;
-  }
-
-  // Fill every lane fifo BEFORE the first submit: retire callbacks start
-  // firing the moment a cluster is in, and they read the fifos.
-  for (Lane& lane : lanes_) {
-    lane.fifo.clear();
-    lane.head = 0;
-  }
-  remaining_clusters_.store(clusters.size(), std::memory_order_relaxed);
-  for (std::uint32_t c = 0; c < clusters.size(); ++c) {
     // Coalesced frames round-robin (distinct clusters, any lane works);
     // uncoalesced frames key-hash so duplicate views — same cached plan —
     // serialize on one lane and never execute concurrently.
-    const std::size_t lane_index =
-        options_.coalesce
-            ? c % lanes_.size()
-            : ViewKeyHash{}(cluster_entries_[c]->key) % lanes_.size();
-    lanes_[lane_index].fifo.push_back(c);
-  }
-  // Return right after the last submit: from then on the frame can
-  // complete and its slot be recycled, so nothing here may be read again.
-  std::size_t unsubmitted = clusters.size();
-  for (Lane& lane : lanes_) {
-    for (const std::uint32_t c : lane.fifo) {
-      CachedView* e = cluster_entries_[c];
-      exec_->submit(lane.id, e->plan, slot.src, e->out.view());
-      if (--unsubmitted == 0) return;
-    }
+    Lane& lane =
+        lanes_[options_.coalesce ? c % lanes_.size()
+                                 : ViewKeyHash{}(key) % lanes_.size()];
+    lane.fifo[lane.tail++] = c;
+    // The last submit can complete the frame and recycle its slot: the
+    // frame's counters go in before it, and nothing is read after it.
+    if (c + 1 == n) count_frame();
+    exec_->submit(lane.id, e->plan, slot.src, e->out.view());
   }
 }
 

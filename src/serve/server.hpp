@@ -6,16 +6,19 @@
 // (level, rect in level output space, destination crop). Pan/tilt is the
 // rect position, zoom is the level index. Like the paper's corrector, the
 // server computes each level's warp map once per calibration: one float
-// LUT per level over its quantized domain, built at construction and again
-// by recalibrate() (Σ quantized level area × 8 B, held outside
-// cache_budget). Serving only ever copies windows out of it.
+// LUT per level over its quantized domain, plus (in float mode) its
+// BlockTable of per-block source boxes, built at construction and again
+// by recalibrate() (Σ quantized level area × 8 B plus ~4 KB per level,
+// held outside cache_budget). Serving only ever copies windows out of the
+// LUT and keys plan tiles from the table.
 //
 // Per source frame the pipeline is: quantize request rects (origin down,
 // extent up, to `quantum` px — transparent to clients, crops stay exact) →
 // coalesce duplicates/overlaps into clusters (Coalescer) → resolve each
 // cluster through the PlanCache (hit: zero-allocation; miss: copy the
-// window out of the level LUT, convert it, build the plan) → fan clusters
-// out across plan-stream lanes of a stream::StreamExecutor → on cluster
+// window out of the level LUT, convert it, build the plan) and submit it
+// at once to one of the plan-stream lanes of a stream::StreamExecutor, so
+// workers run earlier clusters while later misses build → on cluster
 // retire, copy member crops out of the shared cluster output and fire the
 // per-request retire callback with the true request→crop latency.
 //
@@ -191,12 +194,15 @@ class Server {
 
   /// One plan-stream lane. `fifo` holds the cluster indices submitted to
   /// the lane this frame, in order — stream frames retire FIFO, so the
-  /// retire callback pops from `head`. Filled completely before the first
-  /// submit of a frame, so callbacks never race the fill.
+  /// retire callback pops from `head`. It is sized max_pending up front:
+  /// the dispatcher writes slot `tail` before that cluster's submit, the
+  /// callback reads slot `head` after it, and neither resizes the vector
+  /// while the other runs.
   struct Lane {
     stream::StreamId id = 0;
     std::vector<std::uint32_t> fifo;
-    std::size_t head = 0;
+    std::size_t tail = 0;  ///< dispatcher: next slot to fill
+    std::size_t head = 0;  ///< retire callback: next slot to retire
   };
 
   [[nodiscard]] par::Rect quantize_(par::Rect r) const noexcept;
@@ -214,9 +220,11 @@ class Server {
   ServeOptions options_;
   std::unique_ptr<core::FisheyeCamera> camera_;
   std::vector<std::unique_ptr<core::PerspectiveView>> level_views_;
-  /// One per level (build_level_lut); read by the dispatcher's misses,
-  /// rebuilt by recalibrate() while no frame is in flight.
+  /// One per level (build_level_lut, build_level_blocks — the tables in
+  /// float mode only); read by the dispatcher's misses, rebuilt by
+  /// recalibrate() while no frame is in flight.
   std::vector<core::WarpMap> level_luts_;
+  std::vector<BlockTable> level_blocks_;
   std::uint64_t generation_ = 1;
   rt::Stopwatch epoch_;
   RetireFn retire_;

@@ -111,8 +111,9 @@ TEST_F(AutotuneCacheDisk, TruncatedEntryIsSkipped) {
 }
 
 TEST_F(AutotuneCacheDisk, BinaryGarbageNeverThrows) {
-  std::string junk("\x7f""ELF\x01\x02\x00garbage\n\x00\xff\xfe\ttab\n", 28);
-  write_file(junk);
+  static constexpr char kJunk[] =
+      "\x7f""ELF\x01\x02\x00garbage\n\x00\xff\xfe\ttab\n";
+  write_file(std::string(kJunk, sizeof(kJunk) - 1));
   AutotuneCache& cache = AutotuneCache::instance();
   EXPECT_NO_THROW(cache.reload_disk());
   EXPECT_FALSE(cache.lookup("garbage").has_value());

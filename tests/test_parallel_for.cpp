@@ -6,6 +6,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,13 @@ struct Case {
   std::size_t n;
   std::size_t chunk;
 };
+
+// Without this, gtest prints a Case as its raw bytes, uninitialised padding
+// included, and the ctest names, which gtest_discover_tests builds from the
+// printed value, changed from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << schedule_name(c.schedule) << ",n=" << c.n << ",chunk=" << c.chunk;
+}
 
 class ParallelForSweep : public ::testing::TestWithParam<Case> {};
 

@@ -6,7 +6,10 @@
 //
 // The hook is a counting global operator new: warm the plan for a few
 // frames (lazy pool spin-up, vector capacity growth, libgomp internals),
-// snapshot the counter, run more frames, and require a zero delta.
+// snapshot the counter, run more frames, and require a zero delta. Every
+// replaceable form is replaced, the nothrow ones included (libstdc++'s
+// std::stable_sort takes its buffer from nothrow new), so each allocation
+// counts and every pointer is freed by the allocator that made it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,27 +30,61 @@
 #include "util/mathx.hpp"
 
 namespace {
-std::atomic<std::size_t> g_allocations{0};
-}  // namespace
 
-void* operator new(std::size_t size) {
+std::atomic<std::size_t> g_allocations{0};
+
+/// Counted malloc; null on failure (the throwing forms throw).
+void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
+  return std::malloc(size);
 }
 
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
+void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size) != 0)
-    throw std::bad_alloc();
+    return nullptr;
   return p;
 }
 
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
 void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
+}
+
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(size, align);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -60,6 +97,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

@@ -17,6 +17,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/corrector.hpp"
@@ -513,6 +514,73 @@ TEST(ServePlanCache, RecalibrateBumpsGenerationAndFlushes) {
   EXPECT_NE(0, mismatches(before.cview(), local, after.cview(), 1));
 }
 
+/// Plans keyed through the level's BlockTable order their tiles exactly as
+/// plans keyed by scanning the window's map: same rects, same order. Levels
+/// are 250x180, so windows touching the right/bottom edges end past the
+/// level (on the quantized LUT edge), and tile widths that are not
+/// multiples of the quantum (24x16, 48x48 at quantum 32) need blocks finer
+/// than the quantum.
+TEST(ServePlanCache, BlockTableTileOrderMatchesPerPixelKeys) {
+  constexpr int kW = 250, kH = 180;
+  core::LensSpec lens(core::LensKind::Equidistant);
+  lens.fov_deg = 180.0;
+  const auto cam = core::FisheyeCamera::centered(lens, kSrcW, kSrcH);
+  std::mt19937 rng(4242);
+  std::size_t compared = 0, reordered = 0;
+  for (const double focal : {cam.lens().dradius_dtheta(0.0), 140.0}) {
+    const core::PerspectiveView view(kW, kH, focal);
+    for (const int q : {8, 16, 32}) {
+      const auto quantize = [q](par::Rect r) {
+        return par::Rect{(r.x0 / q) * q, (r.y0 / q) * q,
+                         ((r.x1 + q - 1) / q) * q, ((r.y1 + q - 1) / q) * q};
+      };
+      std::vector<par::Rect> windows = {{kW - 72, kH - 56, kW, kH},
+                                        {0, kH - 40, 88, kH},
+                                        {kW - 40, 8, kW, 70},
+                                        {0, 0, kW, kH}};
+      for (int i = 0; i < 16; ++i) {
+        std::uniform_int_distribution<int> wd(8, 160), hd(8, 120);
+        const int w = wd(rng), h = hd(rng);
+        const int x = std::uniform_int_distribution<int>(0, kW - w)(rng);
+        const int y = std::uniform_int_distribution<int>(0, kH - h)(rng);
+        windows.push_back({x, y, x + w, y + h});
+      }
+      for (const auto& [tw, th] : {std::pair{32, 32}, std::pair{24, 16},
+                                   std::pair{48, 48}, std::pair{16, 40}}) {
+        serve::ViewBuildContext scan;
+        scan.camera = &cam;
+        scan.view = &view;
+        scan.src_width = kSrcW;
+        scan.src_height = kSrcH;
+        scan.tile_w = tw;
+        scan.tile_h = th;
+        const core::WarpMap lut = serve::build_level_lut(scan, q);
+        scan.lut = &lut;
+        const serve::BlockTable blocks = serve::build_level_blocks(scan, q);
+        serve::ViewBuildContext keyed = scan;
+        keyed.blocks = &blocks;
+        for (const par::Rect& w : windows) {
+          const serve::ViewKey key{1, 0, quantize(w)};
+          const auto a = serve::build_cached_view(scan, key);
+          const auto b = serve::build_cached_view(keyed, key);
+          ASSERT_EQ(a->plan.tiles(), b->plan.tiles())
+              << "quantum " << q << " tile " << tw << "x" << th << " focal "
+              << focal << " rect " << key.rect.x0 << "," << key.rect.y0
+              << "-" << key.rect.x1 << "," << key.rect.y1;
+          ++compared;
+          const std::vector<par::Rect> raster =
+              par::partition(key.rect.width(), key.rect.height(),
+                             par::PartitionKind::Tiles, 0, tw, th);
+          if (raster != b->plan.tiles()) ++reordered;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 2u * 3u * 4u * 20u);
+  // The comparison means something only if ordering moved tiles.
+  EXPECT_GT(reordered, compared / 4);
+}
+
 // --- pipeline ---------------------------------------------------------------
 
 TEST(ServePipeline, EmptyFrameCompletes) {
@@ -625,6 +693,62 @@ TEST(ServePipeline, BackToBackFramesRetireEveryRequestOnce) {
   EXPECT_EQ(stats.frames, static_cast<std::size_t>(kFrames));
   EXPECT_EQ(stats.requests, requests);
   EXPECT_EQ(stats.retired, requests);
+}
+
+TEST(ServePipeline, OverlappedMissesUnderEvictionRetireOnceAndExact) {
+  // Five 40x36 views on two levels, shifted every frame, 400 frames back
+  // to back without drain(). No entry fits the 16 KB budget, so every
+  // frame's clusters miss: each one is built, inserted and submitted while
+  // the frame's earlier clusters execute, and each insert evicts whatever
+  // is not pinned. Every tag must retire once with an exact crop.
+  const img::Image8 src = make_src();
+  const ServerConfig cfg = base_config();
+  const ServeOptions opt = ServeOptions::parse(
+      "serve:lanes=4,queue_depth=4,cache_budget=16K,tile=16x16");
+  par::ThreadPool pool(4);
+  Server server(cfg, opt, pool);
+  const img::Image8 refs[] = {reference_level(cfg, opt, 0, src.cview()),
+                              reference_level(cfg, opt, 1, src.cview())};
+
+  constexpr int kFrames = 400, kViews = 5, kW = 40, kH = 36;
+  std::vector<std::atomic<int>> retired(kFrames * kViews);
+  server.set_retire([&retired](std::uint64_t, std::uint64_t tag, double) {
+    retired[tag].fetch_add(1, std::memory_order_relaxed);
+  });
+  struct View {
+    int level;
+    par::Rect rect;
+  };
+  std::vector<View> views;
+  std::vector<img::Image8> crops;
+  views.reserve(kFrames * kViews);
+  crops.reserve(kFrames * kViews);
+  for (int f = 0; f < kFrames; ++f) {
+    for (int v = 0; v < kViews; ++v) {
+      const serve::LevelSpec& level =
+          cfg.levels[static_cast<std::size_t>(v % 2)];
+      const int x = (f * 7 + v * 53) % (level.width - kW);
+      const int y = (f * 5 + v * 37) % (level.height - kH);
+      views.push_back({v % 2, {x, y, x + kW, y + kH}});
+      crops.emplace_back(kW, kH, 1);
+      server.request(views.back().level, views.back().rect,
+                     crops.back().view(),
+                     static_cast<std::uint64_t>(f * kViews + v));
+    }
+    server.submit_frame(src.cview());
+  }
+  server.drain();
+
+  for (std::size_t t = 0; t < views.size(); ++t) {
+    EXPECT_EQ(retired[t].load(), 1) << "tag " << t;
+    EXPECT_EQ(0, mismatches(refs[views[t].level].cview(), views[t].rect,
+                            crops[t].cview(), 1))
+        << "tag " << t;
+  }
+  const rt::ServeStats stats = server.stats();
+  EXPECT_EQ(stats.frames, static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(stats.retired, views.size());
+  EXPECT_GT(stats.plan_misses, static_cast<std::size_t>(kFrames));
 }
 
 // --- request validation -----------------------------------------------------
