@@ -6,6 +6,7 @@
 // kernel-quality constant each optimization step buys (scalar gathers ->
 // shuffle-based SIMD extraction) and the buffering mode.
 #include <algorithm>
+#include <thread>
 
 #include "accel/accel_backend.hpp"
 
@@ -22,14 +23,18 @@ int main(int argc, char** argv) {
   const int w = 1280, h = 720;
   const img::Image8 src = bench::make_input(w, h);
   const int reps = bench::reps_for(w, h, 6);
+  // Every row records the host's core count: the "+ threads" rung and the
+  // committed artifact only compare across hosts with the same count.
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
 
   // --- CPU ladder ---
-  util::Table cpu({"step", "ms/frame", "fps", "cumulative speedup"});
+  util::Table cpu({"step", "cores", "ms/frame", "fps", "cumulative speedup"});
   double base = 0.0;
   auto add_row = [&](const char* name, double seconds) {
     if (base == 0.0) base = seconds;
     cpu.row()
         .add(name)
+        .add(cores)
         .add(seconds * 1e3, 2)
         .add(rt::fps_from_seconds(seconds), 1)
         .add(base / seconds, 2);
@@ -86,7 +91,8 @@ int main(int argc, char** argv) {
     // Floor of 5 reps even under --quick: CI asserts on the ratios below,
     // and median-of-3 at ~10 ms/frame still wobbles several percent.
     const int dreps = std::max(5, bench::reps_for(dw, dh, 6));
-    util::Table dp({"step", "datapath", "isa", "ms/frame", "fps", "vs soa"});
+    util::Table dp({"step", "cores", "datapath", "isa", "ms/frame", "fps",
+                    "vs soa"});
     double soa_s = 0.0;
     auto dp_row = [&](const char* name, const std::string& spec) {
       const auto backend = bench::make_backend(spec);
@@ -100,6 +106,7 @@ int main(int argc, char** argv) {
       if (soa_s == 0.0) soa_s = run.min;
       dp.row()
           .add(name)
+          .add(cores)
           .add(core::variant_name(prepared.plan.kernel().key().variant))
           .add(util::cpu_info().isa())
           .add(run.min * 1e3, 2)
@@ -114,7 +121,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Cell ladder (cycle model) ---
-  util::Table cell({"step", "modeled fps", "cumulative speedup"});
+  util::Table cell({"step", "cores", "modeled fps", "cumulative speedup"});
   double cell_base = 0.0;
   auto cell_row = [&](const char* name, const std::string& spec) {
     const auto backend = bench::make_backend(spec);
@@ -123,7 +130,7 @@ int main(int argc, char** argv) {
     const double fps =
         dynamic_cast<const accel::CellBackend&>(*backend).last_stats().fps;
     if (cell_base == 0.0) cell_base = fps;
-    cell.row().add(name).add(fps, 1).add(fps / cell_base, 2);
+    cell.row().add(name).add(cores).add(fps, 1).add(fps / cell_base, 2);
   };
   // cpp: scalar gathers with branchy border code cost ~130 cycles/px; the
   // shuffle-based SIMD extraction of the real port gets that down to 48.

@@ -48,7 +48,9 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
       const float* __restrict my = map.src_y.data() + row + xb;
 
       // Pass 1: SoA coordinate/weight computation. Branch-free; the
-      // interior test folds into a mask so the loop auto-vectorizes.
+      // interior test folds into a mask, so the loop vectorizes wherever
+      // the target has a vector floor (-fno-trapping-math lets GCC convert
+      // float to int32 in vector lanes; see src/simd/CMakeLists.txt).
       for (int i = 0; i < n; ++i) {
         const float sx = mx[i];
         const float sy = my[i];

@@ -9,9 +9,12 @@
 //           into contiguous SoA scratch arrays;
 //   pass 2 (gather-bound): fetch the four taps per pixel and blend with the
 //           precomputed weights.
-// Pass 1 auto-vectorizes to AVX2/AVX-512 under -march=native; pass 2 is the
-// irreducible gather cost. The F-series "simd" backend is this kernel run
-// on the thread pool.
+// Pass 1 vectorizes under -march=native because fisheye_simd builds with
+// -fno-trapping-math: GCC's default -ftrapping-math keeps its float to
+// int32 conversions scalar (src/simd/CMakeLists.txt). Portable SSE2 builds
+// still run it scalar, having no vector floor. Pass 2 is the irreducible
+// gather cost. The F-series "simd" backend is this kernel run on the
+// thread pool.
 #pragma once
 
 #include <cstdint>

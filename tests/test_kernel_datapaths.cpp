@@ -6,14 +6,22 @@
 // Numerical contracts (simd/remap_gather.hpp): the packed and compact
 // gather kernels run the SAME integer arithmetic as their scalar
 // counterparts — bit-exact required; the float gather kernel quantizes
-// bilinear weights to 8.8 fixed point — within one 8-bit level of scalar.
-// All hold with or without AVX2 (the strip structure, not the ISA, defines
-// the arithmetic), so this suite runs unconditionally.
+// bilinear weights to 8.8 fixed point — within one 8-bit level of scalar,
+// and byte for byte equal to its own contract evaluated in the test. The
+// float SoA kernel's pixels must not depend on rect offset or strip length
+// (vector body and scalar remainder of pass 1 agree). All hold with or
+// without AVX2 (the strip structure, not the ISA, defines the arithmetic),
+// so this suite runs unconditionally.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/autotune.hpp"
 #include "core/backend.hpp"
@@ -190,6 +198,173 @@ TEST(GatherKernel, StripLengthDoesNotChangeResults) {
                                 scratch, strip);
     EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
         << "strip=" << strip;
+  }
+}
+
+// The float kernels' pass 1 is compiled to vector code, so its arithmetic
+// is pinned on the values that probe it: NaN, infinities, huge magnitudes,
+// signed zero, just-outside negatives, the w - 1 edge from both sides, and
+// the weight-rounding ties k + (m + 0.5) / 256 (exact in float).
+float salt_value(util::Rng& rng, int dim) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float edge = static_cast<float>(dim - 1);
+  switch (rng.next_below(14)) {
+    case 0: return std::numeric_limits<float>::quiet_NaN();
+    case 1: return inf;
+    case 2: return -inf;
+    case 3: return 1e30f;
+    case 4: return -1e30f;
+    case 5: return -0.0f;
+    case 6: return -0.5f;
+    case 7: return static_cast<float>(dim - 1 - 1e-6);
+    case 8: return static_cast<float>(dim - 1 + 1e-6);
+    case 9: return std::nextafter(edge, 0.0f);
+    case 10: return edge;
+    default: {
+      const auto k = static_cast<float>(
+          rng.next_below(static_cast<std::uint64_t>(dim)));
+      const auto m = static_cast<float>(rng.next_below(256));
+      return k + (m + 0.5f) / 256.0f;
+    }
+  }
+}
+
+WarpMap salted_map(int w, int h, int src_w, int src_h, std::uint64_t seed) {
+  util::Rng rng(seed);
+  WarpMap map;
+  map.width = w;
+  map.height = h;
+  map.src_x.resize(map.pixel_count());
+  map.src_y.resize(map.pixel_count());
+  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
+    map.src_x[i] = rng.next_below(3) == 0
+                       ? salt_value(rng, src_w)
+                       : static_cast<float>(rng.uniform(-1.5, src_w + 0.5));
+    map.src_y[i] = rng.next_below(3) == 0
+                       ? salt_value(rng, src_h)
+                       : static_cast<float>(rng.uniform(-1.5, src_h + 0.5));
+  }
+  return map;
+}
+
+/// Rects with odd x offsets and widths that are not multiples of 8, so the
+/// vector body and the scalar remainder of every loop both run.
+par::Rect odd_rect(int w, int h, util::Rng& rng) {
+  const int x0 = static_cast<int>(rng.next_below(
+                     static_cast<std::uint64_t>(w / 2))) | 1;
+  const int y0 = static_cast<int>(rng.next_below(
+      static_cast<std::uint64_t>(h / 2)));
+  int width = 9 + static_cast<int>(rng.next_below(
+                      static_cast<std::uint64_t>(w - x0 - 9)));
+  if (width % 8 == 0) --width;
+  const int height = 1 + static_cast<int>(rng.next_below(
+                             static_cast<std::uint64_t>(h - y0)));
+  return {x0, y0, x0 + width, y0 + height};
+}
+
+/// remap_bilinear_gather's contract, evaluated per pixel: x0 = floor(sx),
+/// ax = int((sx - x0) * 256 + 0.5) in float, valid iff 0 <= x0 < w - 1
+/// (same for y), then the factored 8.8 blend rounded half-up; invalid
+/// pixels get `fill`. Integer conversions run only on valid samples.
+void gather_contract(const img::Image8& src, img::Image8& dst,
+                     const WarpMap& map, par::Rect rect, std::uint8_t fill) {
+  const int ch = src.channels();
+  const auto last_x = static_cast<float>(src.width()) - 1.0f;
+  const auto last_y = static_cast<float>(src.height()) - 1.0f;
+  for (int y = rect.y0; y < rect.y1; ++y)
+    for (int x = rect.x0; x < rect.x1; ++x) {
+      const std::size_t i = static_cast<std::size_t>(y) * map.width + x;
+      const float sx = map.src_x[i];
+      const float sy = map.src_y[i];
+      const float fx = std::floor(sx);
+      const float fy = std::floor(sy);
+      std::uint8_t* o = dst.row(y) + static_cast<std::size_t>(x) * ch;
+      if (!(fx >= 0.0f && fy >= 0.0f && fx < last_x && fy < last_y)) {
+        for (int c = 0; c < ch; ++c) o[c] = fill;
+        continue;
+      }
+      const int x0 = static_cast<int>(fx);
+      const int y0 = static_cast<int>(fy);
+      const float tx = (sx - fx) * 256.0f;
+      const float ty = (sy - fy) * 256.0f;
+      const int ax = static_cast<int>(tx + 0.5f);
+      const int ay = static_cast<int>(ty + 0.5f);
+      const std::uint8_t* r0 = src.row(y0) + static_cast<std::size_t>(x0) * ch;
+      const std::uint8_t* r1 = src.row(y0 + 1) + static_cast<std::size_t>(x0) * ch;
+      for (int c = 0; c < ch; ++c) {
+        const int t0 = (256 - ax) * r0[c] + ax * r0[ch + c];
+        const int t1 = (256 - ax) * r1[c] + ax * r1[ch + c];
+        const int v = (256 - ay) * t0 + ay * t1;
+        o[c] = static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
+      }
+    }
+}
+
+int count_mismatches(const img::Image8& a, const img::Image8& b) {
+  int bad = 0;
+  for (int y = 0; y < a.height(); ++y)
+    for (int x = 0; x < a.width() * a.channels(); ++x)
+      bad += a.row(y)[x] != b.row(y)[x];
+  return bad;
+}
+
+TEST(GatherKernel, FloatMatchesItsContractByteForByteOnSaltedMaps) {
+  // 181 wide pads the pitch; 128 wide single-channel is a tight pitch, so
+  // the last row's dword reads hit the buffer-end fixup path.
+  for (const int ch : {1, 3}) {
+    for (const auto& [w, h] : {std::pair{181, 67}, std::pair{128, 40}}) {
+      const img::Image8 src = random_image(w, h, ch, 71);
+      const WarpMap map = salted_map(w, h, w, h, 72 + ch);
+      util::Rng rng(73);
+      simd::SoaScratch scratch;
+      std::vector<par::Rect> rects{{0, 0, w, h}};
+      for (int r = 0; r < 12; ++r) rects.push_back(odd_rect(w, h, rng));
+      for (const par::Rect& rect : rects)
+        for (const int strip : {8, 13, 256}) {
+          img::Image8 want(w, h, ch), got(w, h, ch);
+          want.fill(200);
+          got.fill(200);
+          gather_contract(src, want, map, rect, 7);
+          simd::remap_bilinear_gather(src.view(), got.view(), map, rect, 7,
+                                      scratch, strip);
+          EXPECT_EQ(count_mismatches(want, got), 0)
+              << "ch=" << ch << " w=" << w << " strip=" << strip
+              << " rect=(" << rect.x0 << ',' << rect.y0 << ',' << rect.x1
+              << ',' << rect.y1 << ')';
+        }
+    }
+  }
+}
+
+TEST(SoaKernel, FloatPixelIsIndependentOfRectOffsetAndStrip) {
+  // Each pixel's value may depend only on its map entry, never on whether
+  // the vector body or the scalar remainder of pass 1 computed it.
+  for (const int ch : {1, 3}) {
+    const int w = 181, h = 67;
+    const img::Image8 src = random_image(w, h, ch, 81);
+    const WarpMap map = salted_map(w, h, w, h, 82 + ch);
+    simd::SoaScratch scratch;
+    img::Image8 ref(w, h, ch);
+    simd::remap_bilinear_soa(src.view(), ref.view(), map, {0, 0, w, h}, 7,
+                             scratch);
+    util::Rng rng(83);
+    for (int r = 0; r < 16; ++r) {
+      const par::Rect rect = odd_rect(w, h, rng);
+      for (const int strip : {8, 13, 256}) {
+        img::Image8 want(w, h, ch), got(w, h, ch);
+        want.fill(200);
+        got.fill(200);
+        for (int y = rect.y0; y < rect.y1; ++y)
+          std::copy(ref.row(y) + static_cast<std::size_t>(rect.x0) * ch,
+                    ref.row(y) + static_cast<std::size_t>(rect.x1) * ch,
+                    want.row(y) + static_cast<std::size_t>(rect.x0) * ch);
+        simd::remap_bilinear_soa(src.view(), got.view(), map, rect, 7,
+                                 scratch, strip);
+        EXPECT_EQ(count_mismatches(want, got), 0)
+            << "ch=" << ch << " strip=" << strip << " rect=(" << rect.x0
+            << ',' << rect.y0 << ',' << rect.x1 << ',' << rect.y1 << ')';
+      }
+    }
   }
 }
 
