@@ -18,13 +18,20 @@ int main(int argc, char** argv) {
   const img::Image8 src = bench::make_input(w, h);
   const auto serial = bench::make_backend("serial");
 
-  // Float-LUT reference output.
+  // Float-LUT reference output and time: the per-pixel kernel, the
+  // counterpart of the per-pixel packed kernel the sweep times. (The serial
+  // backend runs float LUTs on the byte-exact gather datapath.)
   const core::Corrector ref_corr = core::Corrector::builder(w, h).build();
   img::Image8 ref(w, h, 1);
-  ref_corr.correct(src.view(), ref.view(), *serial);
+  const core::ExecContext ref_ctx =
+      ref_corr.make_context(src.view(), ref.view());
+  const auto per_pixel = [&] {
+    core::remap_rect(ref_ctx.src, ref_ctx.dst, *ref_ctx.map, {0, 0, w, h},
+                     ref_ctx.opts);
+  };
+  per_pixel();
   const int reps = bench::reps_for(w, h, 6);
-  const rt::RunStats float_stats =
-      bench::measure_backend(ref_corr, src.view(), *serial, reps);
+  const rt::RunStats float_stats = rt::measure(per_pixel, reps, 1);
 
   util::Table table({"frac bits", "coord LSB px", "PSNR vs float dB",
                      "max diff", "ms/frame"});
@@ -52,13 +59,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "F9: fixed-point precision");
 
-  // The gather datapath is the other face of the same quantization: it
-  // keeps the float LUT but rounds bilinear weights to 8.8 fixed point, so
-  // its quality sits in the packed-LUT precision class (max diff <= 1 vs
-  // the float kernel) while the AVX2 taps buy speed over the SoA kernel.
-  // The packed-map gather row is the control: both gather rows move an
-  // 8 B/px map through the same pass 2, so only pass 1 (float floor and
-  // weight rounding vs integer shifts) separates their times.
+  // The float gather datapath keeps the float LUT and the float kernel's
+  // own arithmetic (max diff 0 vs the per-pixel kernel), while the AVX2
+  // taps buy speed over the SoA kernel. The packed-map gather row is the
+  // control: both gather rows move an 8 B/px map and gather the same taps,
+  // so only the weight arithmetic (float vs 8.8 integer) separates their
+  // times.
   {
     // Floor of 9 reps even under --quick: CI asserts on the vs-soa ratio
     // and on float gather vs packed gather; at 2-5 ms/frame a min of 3
@@ -90,15 +96,15 @@ int main(int argc, char** argv) {
     dp_row("float", "simd:threads=1,datapath=soa");
     dp_row("float", "simd:threads=1,datapath=gather");
     dp_row("packed", "simd:threads=1,datapath=gather,map=packed");
-    dp.print(std::cout, "F9b: float-LUT datapaths (weight quantization)");
+    dp.print(std::cout, "F9b: float-LUT datapaths");
   }
 
   std::cout << "expected shape: quality saturates once the coordinate LSB "
                "drops below the 8-bit blend quantization (~10 bits); the "
-               "integer kernel's speed is precision-independent; the gather "
-               "datapath matches packed-LUT quality at full coordinate "
-               "precision, and float and packed gather run within ~1.6x of "
-               "each other (same map bytes, same pass 2; a larger gap means "
-               "the float pass 1 stopped vectorizing).\n";
+               "integer kernel's speed is precision-independent; the float "
+               "gather datapath is exact (max diff 0), and float and packed "
+               "gather run within ~1.6x of each other (same map bytes, same "
+               "taps; a larger gap means the float pass 1 stopped "
+               "vectorizing).\n";
   return 0;
 }

@@ -56,9 +56,18 @@ int main(int argc, char** argv) {
             bench::measure_spec(corr, src.view(), "serial", 3).median);
   }
   const core::Corrector lut_corr = core::Corrector::builder(w, h).build();
-  {  // 2: precomputed float LUT
-    add_row("+ float LUT",
-            bench::measure_spec(lut_corr, src.view(), "serial", reps).median);
+  {  // 2: precomputed float LUT, the per-pixel port. Timed on
+     // core::remap_rect, not the serial backend: that one resolves the
+     // float LUT to the gather datapath, a later rung of this ladder.
+    img::Image8 out(w, h, 1);
+    const core::ExecContext ctx = lut_corr.make_context(src.view(), out.view());
+    add_row("+ float LUT", rt::measure(
+                               [&] {
+                                 core::remap_rect(ctx.src, ctx.dst, *ctx.map,
+                                                  {0, 0, w, h}, ctx.opts);
+                               },
+                               reps, 1)
+                               .median);
   }
   {  // 3: fixed-point LUT kernel
     const core::Corrector corr = core::Corrector::builder(w, h)
@@ -80,10 +89,11 @@ int main(int argc, char** argv) {
 
   // --- Datapath ladder at 1080p ---
   // The explicit-intrinsics rung on top of the SoA restructuring: AVX2
-  // gather taps + 8.8 fixed-point blend, then the plan-time autotuner
-  // picking across (datapath, strip, map) on this host. The datapath and
-  // isa columns land in the JSON mirror so BENCH_* artifacts record which
-  // kernel produced each number.
+  // gather taps, then the plan-time autotuner picking across (datapath,
+  // strip, map) on this host. The serial row runs the Scalar float entry,
+  // which resolves to the same byte-exact gather kernel wherever it runs.
+  // The datapath and isa columns land in the JSON mirror so BENCH_*
+  // artifacts record which kernel produced each number.
   {
     const int dw = 1920, dh = 1080;
     const img::Image8 dsrc = bench::make_input(dw, dh);
@@ -117,6 +127,7 @@ int main(int argc, char** argv) {
     dp_row("simd (SoA)", "simd:threads=1,datapath=soa");
     dp_row("+ AVX2 gather", "simd:threads=1,datapath=gather");
     dp_row("+ autotuned plan", "simd:threads=1,tuned=auto");
+    dp_row("serial, exact float LUT", "serial");
     dp.print(std::cout, "F14c: datapath ladder at 1080p (measured)");
   }
 

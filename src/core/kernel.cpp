@@ -100,16 +100,18 @@ void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
   }
 }
 
-// --- AVX2 gather kernels (constant border only) -------------------------
+// --- AVX2 gather kernels (catalogued for constant border) ---------------
 
+// Byte for byte k_float_bilinear, offsets and every border mode included,
+// so it also serves the Scalar entry wherever the gather datapath runs.
 void k_gather_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   if (a.scratch != nullptr) {
-    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, b.opts.fill,
-                                *a.scratch, b.soa_strip);
+    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+                                a.src_off_y, b.opts, *a.scratch, b.soa_strip);
   } else {
     simd::SoaScratch scratch;
-    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, b.opts.fill,
-                                scratch, b.soa_strip);
+    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+                                a.src_off_y, b.opts, scratch, b.soa_strip);
   }
 }
 
@@ -286,7 +288,12 @@ ResolvedKernel resolve_kernel(const ExecContext& ctx, KernelVariant variant,
     b.camera = ctx.camera;
     b.view = ctx.view;
   }
-  return {key, entry->fn, b, entry->windowed};
+  // The float bilinear gather kernel computes the per-pixel kernel's own
+  // arithmetic, so the Scalar entry runs it wherever it is available.
+  TileKernelFn fn = entry->fn;
+  if (fn == &k_float_bilinear && simd::gather_available())
+    fn = &k_gather_float_bilinear;
+  return {key, fn, b, entry->windowed};
 }
 
 MapIdentity map_identity(const ExecContext& ctx) noexcept {

@@ -61,7 +61,9 @@ enum class PixelLayout : std::uint8_t {
 
 /// Which implementation family executes the tile.
 enum class KernelVariant : std::uint8_t {
-  Scalar,      ///< portable per-pixel kernels (core/remap.cpp)
+  Scalar,      ///< per-pixel reference kernels (core/remap.cpp); the
+               ///< float bilinear one resolves to its byte-exact AVX2
+               ///< gather form wherever simd::gather_available() holds
   SimdSoa,     ///< two-pass SoA strip kernels (simd/remap_simd.cpp)
   SimdGather,  ///< AVX2 hardware-gather pass 2 (simd/remap_gather.cpp)
 };

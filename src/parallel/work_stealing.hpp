@@ -289,7 +289,8 @@ class StealScheduler {
 /// retire the frame. Both callbacks must not throw — the executor layer
 /// wraps kernels with its own error slot.
 struct StreamJob {
-  const std::uint32_t* order = nullptr;  ///< tile indices in schedule order
+  /// Tile indices in schedule order. Read in place until the job retires.
+  const std::uint32_t* order = nullptr;
   std::size_t count = 0;                 ///< tiles in the frame
   void* env = nullptr;                   ///< passed through to the callbacks
   void (*run)(void* env, std::uint32_t item, unsigned worker) = nullptr;
@@ -309,9 +310,9 @@ struct StreamJob {
 ///    order — the fairness rule) and becomes its owner, walking the run in
 ///    schedule order (owner-LIFO pops, exactly like a steal deque);
 ///  * a worker that finds no claimable frame steals a tile batch from the
-///    largest visible queue across ALL streams (subject to the
-///    StealPolicy floor), so big frames recruit idle workers while small
-///    frames stay cache-local on one core;
+///    largest visible range across ALL streams (subject to the StealPolicy
+///    floor), so big frames recruit idle workers while small frames stay
+///    cache-local on one core;
 ///  * the worker that executes a frame's last tile retires it: counters
 ///    are snapshotted and reset, the slot goes idle, and the job's retire
 ///    callback runs (typically posting the stream's next queued frame).
@@ -319,7 +320,11 @@ struct StreamJob {
 /// Slot storage is fixed at construction (max_slots), so worker scans
 /// never race a reallocation: create_slot/destroy_slot just flip a state
 /// atomic, which makes concurrent stream add/remove safe while serving.
-/// One frame at a time per slot is the caller's contract (checked).
+/// A slot's unclaimed tiles are a range of positions in its job's order
+/// array, so a steal copies nothing and no worker owns scratch that a
+/// larger frame would have to grow: serving allocates nothing, however late
+/// a worker first steals. One frame at a time per slot is the caller's
+/// contract (checked).
 class StreamScheduler {
  public:
   static constexpr std::size_t kNoSlot =
@@ -327,15 +332,11 @@ class StreamScheduler {
 
   StreamScheduler(unsigned workers, std::size_t max_slots,
                   StealPolicy policy = {})
-      : policy_(policy),
-        slots_(max_slots),
-        blocks_(workers == 0 ? 1 : workers) {
+      : policy_(policy), slots_(max_slots), workers_(workers) {
     FE_EXPECTS(workers >= 1 && max_slots >= 1);
   }
 
-  [[nodiscard]] unsigned workers() const noexcept {
-    return static_cast<unsigned>(blocks_.size());
-  }
+  [[nodiscard]] unsigned workers() const noexcept { return workers_; }
 
   /// Claim a free slot; kNoSlot when all max_slots are in use.
   [[nodiscard]] std::size_t create_slot() {
@@ -369,17 +370,9 @@ class StreamScheduler {
     slot.seq.store(next_seq_.fetch_add(1, std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
     slot.remaining.store(job.count, std::memory_order_relaxed);
-    // Advertise the largest job ever posted so workers can size their
-    // steal scratch eagerly (keeps steady-state service allocation-free
-    // even when the first steal from this stream happens much later).
-    std::size_t seen = max_count_.load(std::memory_order_relaxed);
-    while (seen < job.count &&
-           !max_count_.compare_exchange_weak(seen, job.count,
-                                             std::memory_order_relaxed)) {
-    }
-    // The queue mutex inside assign() orders everything above before any
-    // pop that yields this frame's items.
-    slot.queue.assign(job.order, 0, job.count);
+    // The range mutex inside assign() orders everything above before any
+    // pop or steal that yields this frame's items.
+    slot.tiles.assign(job.count);
     slot.state.store(kActive, std::memory_order_release);
     {
       const std::scoped_lock lock(mu_);
@@ -392,15 +385,10 @@ class StreamScheduler {
   /// on a ThreadPool lane (WorkStealingPool::start_service) or a dedicated
   /// thread.
   void run_worker(unsigned w) {
-    FE_EXPECTS(w < blocks_.size());
-    std::vector<std::uint32_t>& loot = blocks_[w].loot;
+    FE_EXPECTS(w < workers_);
     for (;;) {
-      // Grow the steal scratch up-front (a steal never loots more than one
-      // whole job), so the steal path itself stays allocation-free.
-      const std::size_t cap = max_count_.load(std::memory_order_relaxed);
-      if (loot.capacity() < cap) loot.reserve(cap);
       if (own_one(w)) continue;
-      if (steal_one(w, loot)) continue;
+      if (steal_one(w)) continue;
       // Nothing runnable: sleep until a post (or stop) bumps the version.
       std::unique_lock<std::mutex> lock(mu_);
       if (stop_) return;
@@ -408,7 +396,7 @@ class StreamScheduler {
       lock.unlock();
       // Re-scan after reading the version so a post that landed between
       // the failed scans and the lock cannot be slept through.
-      if (own_one(w) || steal_one(w, loot)) continue;
+      if (own_one(w) || steal_one(w)) continue;
       lock.lock();
       if (stop_) return;
       if (wake_version_ == version) cv_.wait(lock);
@@ -431,6 +419,55 @@ class StreamScheduler {
   static constexpr int kActive = 2;  ///< job posted and not yet retired
   static constexpr unsigned kNoOwner = std::numeric_limits<unsigned>::max();
 
+  /// A posted frame's unclaimed tiles: positions [lo, hi) of its job's
+  /// order array. The owner pops from lo, thieves take batches from hi, so
+  /// the unclaimed tiles always stay one contiguous range.
+  class TileRange {
+   public:
+    void assign(std::size_t n) {
+      const std::scoped_lock lock(mu_);
+      lo_ = 0;
+      hi_ = n;
+      size_.store(n, std::memory_order_relaxed);
+    }
+
+    /// Owner pop: the next position in schedule order. False when empty.
+    bool pop(std::size_t& pos) {
+      const std::scoped_lock lock(mu_);
+      if (lo_ == hi_) return false;
+      pos = lo_++;
+      size_.store(hi_ - lo_, std::memory_order_relaxed);
+      return true;
+    }
+
+    /// Steal ceil(half) — at least min(min_batch, size) — of the remaining
+    /// positions from the far end, unless fewer than `floor` remain, in
+    /// which case nothing is taken. The batch is [first, first + taken).
+    std::size_t steal_half(std::size_t& first, std::size_t floor,
+                           std::size_t min_batch) {
+      const std::scoped_lock lock(mu_);
+      const std::size_t n = hi_ - lo_;
+      if (n == 0 || n < floor) return 0;
+      const std::size_t take = std::max((n + 1) / 2, std::min(min_batch, n));
+      hi_ -= take;
+      first = hi_;
+      size_.store(hi_ - lo_, std::memory_order_relaxed);
+      return take;
+    }
+
+    /// Lock-free size mirror for victim scans. May be momentarily stale;
+    /// pop and steal_half re-validate under the lock.
+    [[nodiscard]] std::size_t approx_size() const noexcept {
+      return size_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    std::mutex mu_;
+    std::size_t lo_ = 0;
+    std::size_t hi_ = 0;
+    std::atomic<std::size_t> size_{0};
+  };
+
   /// One stream's in-flight frame. Counter ownership: `local` is written
   /// only by the slot's current owner and read/reset only by the retiring
   /// worker — the remaining-counter acquire/release chain makes both safe
@@ -445,11 +482,7 @@ class StreamScheduler {
     std::atomic<std::size_t> steals{0};
     std::size_t local = 0;
     StreamJob job{};
-    StealQueue queue;
-  };
-
-  struct alignas(util::kCacheLine) WorkerBlock {
-    std::vector<std::uint32_t> loot;  ///< steal scratch, reused per worker
+    TileRange tiles;
   };
 
   /// Claim the oldest posted frame that still has unclaimed run items and
@@ -462,7 +495,7 @@ class StreamScheduler {
         Slot& slot = slots_[s];
         if (slot.state.load(std::memory_order_acquire) != kActive) continue;
         if (slot.owner.load(std::memory_order_relaxed) != kNoOwner) continue;
-        if (slot.queue.approx_size() == 0) continue;
+        if (slot.tiles.approx_size() == 0) continue;
         const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
         if (seq < best_seq) {
           best_seq = seq;
@@ -486,7 +519,7 @@ class StreamScheduler {
   }
 
   /// Owner loop over one slot: pop-and-run the locality run in order. The
-  /// job is re-read after every pop — the queue mutex orders a post()'s
+  /// job is re-read after every pop — the range mutex orders a post()'s
   /// job write before the pop that first yields the new frame's items, so
   /// the copy always matches the frame the item belongs to even when the
   /// frame retires and the next one is posted mid-drain. Crossing such a
@@ -494,13 +527,13 @@ class StreamScheduler {
   /// (fairness: a camping owner must not shut out older streams).
   bool drain_own(unsigned w, Slot& slot, std::uint64_t claimed_seq) {
     bool ran = false;
-    std::uint32_t item = 0;
-    while (slot.queue.pop(item)) {
+    std::size_t pos = 0;
+    while (slot.tiles.pop(pos)) {
       ran = true;
       ++slot.local;
       const StreamJob job = slot.job;
       const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-      job.run(job.env, item, w);
+      job.run(job.env, job.order[pos], w);
       finish_item(slot);
       if (seq != claimed_seq) break;
     }
@@ -508,18 +541,19 @@ class StreamScheduler {
     return ran;
   }
 
-  /// Steal a tile batch from the largest visible queue across all streams
-  /// and run it. A stolen batch belongs to exactly one frame (a queue only
-  /// ever holds the posted frame's items), and the thief's unfinished
-  /// items pin that frame, so the job copy is stable for the whole batch.
-  bool steal_one(unsigned w, std::vector<std::uint32_t>& loot) {
+  /// Steal a tile batch from the largest visible range across all streams
+  /// and run it. A stolen batch belongs to exactly one frame (a range only
+  /// ever holds the posted frame's positions), and the thief's unfinished
+  /// items pin that frame, so the job copy and its order array are stable
+  /// for the whole batch.
+  bool steal_one(unsigned w) {
     for (int attempt = 0; attempt < 3; ++attempt) {
       std::size_t victim = kNoSlot;
       std::size_t victim_size = 0;
       for (std::size_t s = 0; s < slots_.size(); ++s) {
         Slot& slot = slots_[s];
         if (slot.state.load(std::memory_order_acquire) != kActive) continue;
-        const std::size_t sz = slot.queue.approx_size();
+        const std::size_t sz = slot.tiles.approx_size();
         if (sz > victim_size) {
           victim = s;
           victim_size = sz;
@@ -528,14 +562,16 @@ class StreamScheduler {
       if (victim == kNoSlot || victim_size < policy_.steal_floor)
         return false;
       Slot& slot = slots_[victim];
+      std::size_t first = 0;
       const std::size_t got =
-          slot.queue.steal_half(loot, policy_.steal_floor, policy_.min_batch);
+          slot.tiles.steal_half(first, policy_.steal_floor, policy_.min_batch);
       if (got == 0) continue;  // raced with the owner draining; rescan
       const StreamJob job = slot.job;
       slot.steals.fetch_add(1, std::memory_order_relaxed);
       slot.stolen.fetch_add(got, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < got; ++i) {
-        job.run(job.env, loot[i], w);
+      // Far end first: the batch runs toward the owner's position.
+      for (std::size_t i = first + got; i > first; --i) {
+        job.run(job.env, job.order[i - 1], w);
         finish_item(slot);
       }
       return true;
@@ -563,9 +599,8 @@ class StreamScheduler {
 
   StealPolicy policy_;
   std::vector<Slot> slots_;
-  std::vector<WorkerBlock> blocks_;
+  unsigned workers_;
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::size_t> max_count_{0};  ///< largest job.count ever posted
   std::mutex mu_;
   std::condition_variable cv_;
   std::uint64_t wake_version_ = 0;  ///< guarded by mu_

@@ -1,22 +1,28 @@
 // AVX2 gather datapath — see remap_gather.hpp for the contract.
 //
-// Pass 1 fills the shared SoaScratch with clamped tap coordinates and the
-// 0..256 integer blend weights (all three map representations reduce to
-// the same scratch layout, which is what lets one pass-2 serve them all).
-// Pass 2 processes eight pixels per iteration: two masked dword gathers
-// fetch the (x0, x0+1) byte pairs of the top and bottom tap rows, and the
-// factored 8.8 blend
+// Every kernel keeps the two-pass strip structure: pass 1 fills the shared
+// SoaScratch, pass 2 gathers eight pixels' taps per iteration with two
+// masked dword gathers (the (x0, x0+1) byte pairs of the top and bottom
+// tap rows).
+//
+// Packed and compact maps: pass 1 writes clamped tap coordinates and 0..256
+// integer weights, and pass 2 runs the factored 8.8 blend
 //   v = (256-ay) * ((256-ax) p00 + ax p10) + ay * ((256-ax) p01 + ax p11)
-// accumulates in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up
-// and packs to bytes. Lanes excluded from the vector path — invalid
-// samples, edge-clamped footprints, dword reads that would overrun the
-// buffer's last padded row — are finished by the scalar fixup loop over
-// the same scratch, so every lane runs the identical integer arithmetic.
+// in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up and packs to
+// bytes. Lanes excluded from the vector path — invalid samples,
+// edge-clamped footprints, dword reads that would overrun the buffer's
+// last padded row — are finished by the scalar fixup loop over the same
+// scratch, so every lane runs the identical integer arithmetic.
+//
+// Float maps: pass 1 writes sample_bilinear's own floor, tap coordinates,
+// float weights and interior test, and pass 2 blends interior lanes with
+// its own expression. Every other lane calls core::sample_bilinear itself.
 #include "simd/remap_gather.hpp"
 
 #include <algorithm>
 #include <cmath>
 
+#include "core/interp.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -199,6 +205,133 @@ inline void blend_strip(const SoaScratch& s, int n,
   blend_span_scalar(s, 0, n, base, pitch, ch, out, fill);
 }
 
+/// One float-LUT strip's pass-2 operands: the sampled view, where it sits
+/// in the full frame, and the strip's map entries (for fallback lanes).
+struct FloatStrip {
+  img::ConstImageView<std::uint8_t> src;
+  const float* mx;
+  const float* my;
+  float off_x;
+  float off_y;
+  img::BorderMode border;
+  std::uint8_t fill;
+
+  /// The per-pixel kernel on slot i: non-interior and guarded lanes. Kept
+  /// out of line so its registers do not spill the vector loop's.
+  [[gnu::noinline]] void sample(int i, std::uint8_t* out) const noexcept {
+    core::sample_bilinear(src, mx[i] - off_x, my[i] - off_y, border, fill,
+                          out);
+  }
+};
+
+/// Scalar float pass 2 over scratch slots [i0, i1): interior slots blend
+/// from the strip weights with sample_bilinear's interior expression;
+/// every other slot runs sample_bilinear.
+void blend_float_span_scalar(const SoaScratch& s, int i0, int i1,
+                             const FloatStrip& f,
+                             std::uint8_t* __restrict out) noexcept {
+  const int ch = f.src.channels;
+  for (int i = i0; i < i1; ++i) {
+    std::uint8_t* o = out + static_cast<std::size_t>(i) * ch;
+    if (!s.valid[i]) {
+      f.sample(i, o);
+      continue;
+    }
+    const std::uint8_t* r0 =
+        f.src.row(s.y0[i]) + static_cast<std::size_t>(s.x0[i]) * ch;
+    const std::uint8_t* r1 =
+        f.src.row(s.y0[i] + 1) + static_cast<std::size_t>(s.x0[i]) * ch;
+    const float w00 = s.w00[i], w10 = s.w10[i];
+    const float w01 = s.w01[i], w11 = s.w11[i];
+    for (int c = 0; c < ch; ++c) {
+      const float v =
+          w00 * r0[c] + w10 * r0[ch + c] + w01 * r1[c] + w11 * r1[ch + c];
+      o[c] = core::detail::round_clamp_u8(v);
+    }
+  }
+}
+
+#if FISHEYE_HAVE_GATHER
+
+/// AVX2 float pass 2 for ch == 1 over scratch slots [0, n). `total` is the
+/// source buffer size in bytes, bounding the dword reads. The blend is
+/// written with vector operators, not intrinsics, so the compiler contracts
+/// it (FMA or not) exactly as it contracts sample_bilinear's.
+void blend_float_span_avx2(const SoaScratch& s, int n, const FloatStrip& f,
+                           int total, std::uint8_t* __restrict out) noexcept {
+  const __m256i vpitch = _mm256_set1_epi32(static_cast<int>(f.src.pitch));
+  const __m256i vzero = _mm256_setzero_si256();
+  const __m256i vff = _mm256_set1_epi32(0xFF);
+  const __m256 vhalf = _mm256_set1_ps(0.5f);
+  // Vector lanes read 4 bytes at `bot`: require bot + 4 <= total.
+  const __m256i vlim = _mm256_set1_epi32(total - 3);
+  const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const int* ibase = reinterpret_cast<const int*>(f.src.data);
+
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i x0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x0 + i));
+    const __m256i y0 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y0 + i));
+    const __m256i interior = _mm256_cmpgt_epi32(
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.valid + i)),
+        vzero);
+    const __m256i top = _mm256_add_epi32(_mm256_mullo_epi32(y0, vpitch), x0);
+    const __m256i bot = _mm256_add_epi32(top, vpitch);
+    const __m256i vec =
+        _mm256_and_si256(interior, _mm256_cmpgt_epi32(vlim, bot));
+
+    const __m256i topw = _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
+    const __m256i botw = _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
+    const __m256 p00 = _mm256_cvtepi32_ps(_mm256_and_si256(topw, vff));
+    const __m256 p10 = _mm256_cvtepi32_ps(
+        _mm256_and_si256(_mm256_srli_epi32(topw, 8), vff));
+    const __m256 p01 = _mm256_cvtepi32_ps(_mm256_and_si256(botw, vff));
+    const __m256 p11 = _mm256_cvtepi32_ps(
+        _mm256_and_si256(_mm256_srli_epi32(botw, 8), vff));
+    const __m256 w00 = _mm256_load_ps(s.w00 + i);
+    const __m256 w10 = _mm256_load_ps(s.w10 + i);
+    const __m256 w01 = _mm256_load_ps(s.w01 + i);
+    const __m256 w11 = _mm256_load_ps(s.w11 + i);
+    const __m256 v = w00 * p00 + w10 * p10 + w01 * p01 + w11 * p11;
+    // round_clamp_u8: truncate v + 0.5, then the two saturating packs
+    // clamp to 0..255.
+    const __m256i r = _mm256_cvttps_epi32(v + vhalf);
+    const __m256i p16 = _mm256_packs_epi32(r, r);
+    const __m256i p8 = _mm256_packus_epi16(p16, p16);
+    const __m256i lanes = _mm256_permutevar8x32_epi32(p8, perm);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_castsi256_si128(lanes));
+
+    int fix = ~_mm256_movemask_ps(_mm256_castsi256_ps(vec)) & 0xFF;
+    while (fix != 0) {
+      const int j = __builtin_ctz(static_cast<unsigned>(fix));
+      fix &= fix - 1;
+      f.sample(i + j, out + i + j);
+    }
+  }
+  blend_float_span_scalar(s, i, n, f, out);
+}
+
+#endif  // FISHEYE_HAVE_GATHER
+
+/// Float pass 2 dispatch for one strip: AVX2 when compiled in, the frame
+/// is single-channel, and the byte offsets fit int32; scalar otherwise.
+inline void blend_float_strip(const SoaScratch& s, int n, const FloatStrip& f,
+                              std::uint8_t* __restrict out) noexcept {
+#if FISHEYE_HAVE_GATHER
+  const std::size_t total =
+      f.src.pitch * static_cast<std::size_t>(f.src.height);
+  if (f.src.channels == 1 &&
+      total + 4 <= static_cast<std::size_t>(INT32_MAX)) {
+    blend_float_span_avx2(s, n, f, static_cast<int>(total), out);
+    return;
+  }
+#endif
+  blend_float_span_scalar(s, 0, n, f, out);
+}
+
 /// Cache lines prefetched per strip, bounding the pass-1 overhead: a
 /// 256-pixel strip of a smooth map typically spans a handful of source
 /// rows, each a few lines wide (docs/modeling.md works the arithmetic).
@@ -246,20 +379,23 @@ inline void prefetch_strip_sources(const core::CompactMap& map,
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            const core::WarpMap& map, par::Rect rect,
-                           std::uint8_t fill, SoaScratch& scratch, int strip) {
+                           int src_off_x, int src_off_y,
+                           const core::RemapOptions& opts, SoaScratch& scratch,
+                           int strip) {
+  // The per-pixel kernel's preconditions (core/remap.cpp), unchanged.
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
              rect.y1 <= dst.height);
+  FE_EXPECTS(!rect.empty());
 
   SoaScratch& s = scratch;
   const int len = clamp_strip(strip);
   const int ch = src.channels;
-  const auto src_w = static_cast<float>(src.width);
-  const auto src_h = static_cast<float>(src.height);
-  const std::size_t pitch = src.pitch;
-  const std::size_t total =
-      pitch * static_cast<std::size_t>(src.height);
+  const int src_w = src.width;
+  const int src_h = src.height;
+  const auto off_x = static_cast<float>(src_off_x);
+  const auto off_y = static_cast<float>(src_off_y);
 
   for (int y = rect.y0; y < rect.y1; ++y) {
     const std::size_t row = static_cast<std::size_t>(y) * map.width;
@@ -270,29 +406,29 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
       const float* __restrict mx = map.src_x.data() + row + xb;
       const float* __restrict my = map.src_y.data() + row + xb;
 
-      // Pass 1: tap coordinates + 8.8 weights, rounded to nearest so the
-      // quantization error stays under half a weight step (±1 contract).
+      // Pass 1: core::sample_bilinear's own floor, taps, weights and
+      // interior test, one scratch slot per pixel.
       for (int i = 0; i < n; ++i) {
-        const float sx = mx[i];
-        const float sy = my[i];
+        const float sx = mx[i] - off_x;
+        const float sy = my[i] - off_y;
         const float fx = std::floor(sx);
         const float fy = std::floor(sy);
-        const std::int32_t ix = static_cast<std::int32_t>(fx);
-        const std::int32_t iy = static_cast<std::int32_t>(fy);
-        s.x0[i] = ix;
-        s.y0[i] = iy;
-        s.x1[i] = ix + 1;
-        s.y1[i] = iy + 1;
-        s.ax[i] = static_cast<std::int32_t>((sx - fx) * 256.0f + 0.5f);
-        s.ay[i] = static_cast<std::int32_t>((sy - fy) * 256.0f + 0.5f);
-        // Same interior-only validity as the SoA kernel.
-        s.valid[i] = (fx >= 0.0f) & (fy >= 0.0f) & (fx < src_w - 1.0f) &
-                     (fy < src_h - 1.0f);
+        const std::int32_t x0 = static_cast<std::int32_t>(fx);
+        const std::int32_t y0 = static_cast<std::int32_t>(fy);
+        const float ax = sx - fx;
+        const float ay = sy - fy;
+        s.x0[i] = x0;
+        s.y0[i] = y0;
+        s.w00[i] = (1.0f - ax) * (1.0f - ay);
+        s.w10[i] = ax * (1.0f - ay);
+        s.w01[i] = (1.0f - ax) * ay;
+        s.w11[i] = ax * ay;
+        s.valid[i] =
+            (x0 >= 0) & (y0 >= 0) & (x0 + 1 < src_w) & (y0 + 1 < src_h);
       }
 
-      std::uint8_t* __restrict out =
-          out_row + static_cast<std::size_t>(xb) * ch;
-      blend_strip(s, n, src.data, pitch, total, ch, out, fill);
+      const FloatStrip f{src, mx, my, off_x, off_y, opts.border, opts.fill};
+      blend_float_strip(s, n, f, out_row + static_cast<std::size_t>(xb) * ch);
     }
   }
 }

@@ -4,19 +4,23 @@
 // to scalar loads; the study's hand-SIMDized ports replaced exactly that
 // with hardware gathers. These kernels keep the two-pass strip structure
 // and vectorize pass 2 with AVX2 `_mm256_i32gather_epi32`: one dword gather
-// per tap row fetches the (p0, p1) byte pair, and an 8.8 fixed-point weight
-// blend produces eight output pixels per iteration.
+// per tap row fetches the (p0, p1) byte pair for eight output pixels per
+// iteration.
 //
-// Contract vs the scalar kernels:
-//  * packed / compact: bit-exact (identical integer expressions, the same
-//    property the SoA compact kernel has);
-//  * float LUT: within ±1 level of the scalar bilinear kernel on interior
-//    samples — the 8.8 weight quantization error is < 1 output level and
-//    both sides round half-up (tested property).
+// Contract vs the scalar kernels: bit-exact, all three.
+//  * packed / compact: identical integer expressions and an 8.8 fixed-point
+//    weight blend (the same property the SoA compact kernel has);
+//  * float LUT: core::sample_bilinear's own arithmetic — floor, float
+//    weights, interior test, and the blend w00*p00 + w10*p10 + w01*p01 +
+//    w11*p11 written with vector operators, so the compiler contracts it
+//    (FMA or not) as it contracts the scalar one. Lanes that are not
+//    interior run sample_bilinear itself, under any border mode and window
+//    offset. Kernel resolution therefore also binds this kernel for the
+//    float bilinear Scalar entry wherever gather_available() holds.
 //
 // Lanes whose 2x2 footprint is not contiguous (edge-clamped taps) or whose
 // dword read would overrun the last padded row take a scalar fixup path;
-// multi-channel frames run the integer blend scalar from the SoA scratch.
+// multi-channel frames blend scalar from the SoA scratch.
 //
 // The compact kernel additionally issues software prefetches for the NEXT
 // strip's source rows, derived from the block-subsampled grid's coarse
@@ -33,6 +37,7 @@
 #include <cstdint>
 
 #include "core/mapping.hpp"
+#include "core/remap.hpp"
 #include "image/image.hpp"
 #include "parallel/partition.hpp"
 #include "simd/remap_simd.hpp"
@@ -48,14 +53,17 @@ namespace fisheye::simd {
 /// Kernel resolution consults this to degrade SimdGather gracefully.
 [[nodiscard]] bool gather_available() noexcept;
 
-/// Bilinear remap of `rect` from a float WarpMap, constant-fill border,
-/// AVX2 gather pass 2. Agreement with the scalar kernel is ±1 level on
-/// interior samples (see header comment). `strip` pixels are staged per
-/// scratch refill; 0 selects kSoaStrip, larger values are clamped to it.
+/// Bilinear remap of `rect` from a float WarpMap, AVX2 gather pass 2.
+/// Byte for byte core::remap_rect_offset with Interp::Bilinear under any
+/// border mode in `opts` (its interp is not read): `src` is a window whose
+/// top-left sits at (src_off_x, src_off_y) in full-frame coordinates, and
+/// the preconditions are the per-pixel kernel's. `strip` pixels are staged
+/// per scratch refill; 0 selects kSoaStrip, larger values are clamped to it.
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            const core::WarpMap& map, par::Rect rect,
-                           std::uint8_t fill, SoaScratch& scratch,
+                           int src_off_x, int src_off_y,
+                           const core::RemapOptions& opts, SoaScratch& scratch,
                            int strip = kSoaStrip);
 
 /// Fixed-point PackedMap remap, AVX2 gather pass 2. Bit-exact against

@@ -3,18 +3,21 @@
 // degrade (FISHEYE_FORCE_SCALAR, non-AVX2 hosts), the autotuner's
 // resolve-once contract, and plan describability.
 //
-// Numerical contracts (simd/remap_gather.hpp): the packed and compact
-// gather kernels run the SAME integer arithmetic as their scalar
-// counterparts — bit-exact required; the float gather kernel quantizes
-// bilinear weights to 8.8 fixed point — within one 8-bit level of scalar,
-// and byte for byte equal to its own contract evaluated in the test. The
-// float SoA kernel's pixels must not depend on rect offset or strip length
-// (vector body and scalar remainder of pass 1 agree). All hold with or
-// without AVX2 (the strip structure, not the ISA, defines the arithmetic),
-// so this suite runs unconditionally.
+// Numerical contracts (simd/remap_gather.hpp): all three gather kernels are
+// bit-exact against their scalar counterparts. The packed and compact ones
+// run the SAME integer arithmetic; the float one runs core::sample_bilinear's
+// own arithmetic, and the Scalar float bilinear entry resolves to it wherever
+// the gather datapath is available, so every scalar float plan depends on
+// it. The float SoA kernel's pixels must not depend on rect offset or strip
+// length (vector body and scalar remainder of pass 1 agree). All hold with
+// or without AVX2 (the strip structure, not the ISA, defines the
+// arithmetic), so this suite runs unconditionally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -88,6 +91,10 @@ int max_abs_diff(const img::Image8& a, const img::Image8& b) {
 }
 
 TEST(GatherKernel, FloatWithinOneLevelOfScalarOnRandomRects) {
+  // The float gather once quantized its weights to 8.8 and was held to one
+  // level here; it now runs the per-pixel kernel's arithmetic, so the
+  // bound is zero.
+  const RemapOptions opts{Interp::Bilinear, img::BorderMode::Constant, 0};
   for (const int ch : {1, 3}) {
     const int w = 181, h = 67;
     const img::Image8 src = random_image(w, h, ch, 21);
@@ -99,11 +106,10 @@ TEST(GatherKernel, FloatWithinOneLevelOfScalarOnRandomRects) {
       img::Image8 a(w, h, ch), b(w, h, ch);
       a.fill(9);
       b.fill(9);
-      core::remap_rect(src.view(), a.view(), map, rect,
-                       {Interp::Bilinear, img::BorderMode::Constant, 0});
-      simd::remap_bilinear_gather(src.view(), b.view(), map, rect, 0,
-                                  scratch);
-      EXPECT_LE(max_abs_diff(a, b), 1)
+      core::remap_rect(src.view(), a.view(), map, rect, opts);
+      simd::remap_bilinear_gather(src.view(), b.view(), map, rect, 0, 0,
+                                  opts, scratch);
+      EXPECT_EQ(max_abs_diff(a, b), 0)
           << "ch=" << ch << " rect=(" << rect.x0 << ',' << rect.y0 << ','
           << rect.x1 << ',' << rect.y1 << ')';
     }
@@ -155,12 +161,43 @@ TEST(GatherKernel, CompactBitExactAgainstScalarOnRandomRects) {
   }
 }
 
+/// Two anonymous pages, the second PROT_NONE: the first page's last byte is
+/// the last readable byte, so any read past it faults. ASan does not
+/// instrument AVX2 gathers; this is what checks their dword-overrun guard.
+class GuardedPage {
+ public:
+  GuardedPage() {
+    void* p = mmap(nullptr, 2 * size_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) return;
+    base_ = static_cast<std::uint8_t*>(p);
+    if (mprotect(base_ + size_, size_, PROT_NONE) != 0) {
+      munmap(base_, 2 * size_);
+      base_ = nullptr;
+    }
+  }
+  ~GuardedPage() {
+    if (base_ != nullptr) munmap(base_, 2 * size_);
+  }
+  GuardedPage(const GuardedPage&) = delete;
+  GuardedPage& operator=(const GuardedPage&) = delete;
+
+  [[nodiscard]] bool ok() const noexcept { return base_ != nullptr; }
+  /// Start of a `bytes`-long block that ends on the guard page.
+  [[nodiscard]] std::uint8_t* tail(std::size_t bytes) const noexcept {
+    return base_ + size_ - bytes;
+  }
+
+ private:
+  std::size_t size_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::uint8_t* base_ = nullptr;
+};
+
 TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
   // pitch == width (single channel, 64-px-multiple row): the vector loop's
   // 4-byte gathers near the bottom-right corner must not read past the
   // buffer (the bot < total-3 lane check routes those through the scalar
-  // fixup). ASan/valgrind guards the "safe" half; exactness is checked
-  // here.
+  // fixup). The guard-page case below faults if one does.
   const int w = 128, h = 32;
   const img::Image8 src = random_image(w, h, 1, 51);
   ASSERT_EQ(src.pitch(), static_cast<std::size_t>(w));
@@ -175,13 +212,41 @@ TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
     map.src_x[i] = static_cast<float>(rng.uniform(w - 6.0, w - 1.01));
     map.src_y[i] = static_cast<float>(rng.uniform(h - 4.0, h - 1.01));
   }
+  const RemapOptions opts{Interp::Bilinear, img::BorderMode::Constant, 0};
   img::Image8 a(w, h, 1), b(w, h, 1);
-  core::remap_rect(src.view(), a.view(), map, {0, 0, w, h},
-                   {Interp::Bilinear, img::BorderMode::Constant, 0});
+  core::remap_rect(src.view(), a.view(), map, {0, 0, w, h}, opts);
   simd::SoaScratch scratch;
-  simd::remap_bilinear_gather(src.view(), b.view(), map, {0, 0, w, h}, 0,
-                              scratch);
-  EXPECT_LE(max_abs_diff(a, b), 1);
+  simd::remap_bilinear_gather(src.view(), b.view(), map, {0, 0, w, h}, 0, 0,
+                              opts, scratch);
+  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
+
+  // The same source copied to end on a guard page, every sample in the
+  // bottom-right 2x2 footprint: a dword read there covers the last two
+  // bytes of the buffer and two past it.
+  GuardedPage page;
+  ASSERT_TRUE(page.ok());
+  const std::size_t total = static_cast<std::size_t>(w) * h;
+  std::uint8_t* bytes = page.tail(total);
+  for (int y = 0; y < h; ++y)
+    std::copy(src.row(y), src.row(y) + w,
+              bytes + static_cast<std::size_t>(y) * w);
+  const img::ConstImageView<std::uint8_t> guarded(bytes, w, h, 1,
+                                                  static_cast<std::size_t>(w));
+  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
+    map.src_x[i] = static_cast<float>(rng.uniform(w - 2.0, w - 1.0));
+    map.src_y[i] = static_cast<float>(rng.uniform(h - 2.0, h - 1.0));
+  }
+  core::remap_rect(src.view(), a.view(), map, {0, 0, w, h}, opts);
+  b.fill(0);
+  simd::remap_bilinear_gather(guarded, b.view(), map, {0, 0, w, h}, 0, 0,
+                              opts, scratch);
+  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
+  const PackedMap packed = pack_map(map, w, h);
+  remap_packed_rect(src.view(), a.view(), packed, {0, 0, w, h}, 0);
+  b.fill(0);
+  simd::remap_packed_gather(guarded, b.view(), packed, {0, 0, w, h}, 0,
+                            scratch);
+  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
 }
 
 TEST(GatherKernel, StripLengthDoesNotChangeResults) {
@@ -190,12 +255,13 @@ TEST(GatherKernel, StripLengthDoesNotChangeResults) {
   const WarpMap map = random_interior_map(w, h, w, h, 62);
   simd::SoaScratch scratch;
   img::Image8 ref(w, h, 1);
-  simd::remap_bilinear_gather(src.view(), ref.view(), map, {0, 0, w, h}, 0,
-                              scratch);
+  const RemapOptions opts{Interp::Bilinear, img::BorderMode::Constant, 0};
+  simd::remap_bilinear_gather(src.view(), ref.view(), map, {0, 0, w, h}, 0, 0,
+                              opts, scratch);
   for (const int strip : {8, 32, 100, 256, 100000}) {
     img::Image8 out(w, h, 1);
     simd::remap_bilinear_gather(src.view(), out.view(), map, {0, 0, w, h}, 0,
-                                scratch, strip);
+                                0, opts, scratch, strip);
     EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
         << "strip=" << strip;
   }
@@ -262,44 +328,6 @@ par::Rect odd_rect(int w, int h, util::Rng& rng) {
   return {x0, y0, x0 + width, y0 + height};
 }
 
-/// remap_bilinear_gather's contract, evaluated per pixel: x0 = floor(sx),
-/// ax = int((sx - x0) * 256 + 0.5) in float, valid iff 0 <= x0 < w - 1
-/// (same for y), then the factored 8.8 blend rounded half-up; invalid
-/// pixels get `fill`. Integer conversions run only on valid samples.
-void gather_contract(const img::Image8& src, img::Image8& dst,
-                     const WarpMap& map, par::Rect rect, std::uint8_t fill) {
-  const int ch = src.channels();
-  const auto last_x = static_cast<float>(src.width()) - 1.0f;
-  const auto last_y = static_cast<float>(src.height()) - 1.0f;
-  for (int y = rect.y0; y < rect.y1; ++y)
-    for (int x = rect.x0; x < rect.x1; ++x) {
-      const std::size_t i = static_cast<std::size_t>(y) * map.width + x;
-      const float sx = map.src_x[i];
-      const float sy = map.src_y[i];
-      const float fx = std::floor(sx);
-      const float fy = std::floor(sy);
-      std::uint8_t* o = dst.row(y) + static_cast<std::size_t>(x) * ch;
-      if (!(fx >= 0.0f && fy >= 0.0f && fx < last_x && fy < last_y)) {
-        for (int c = 0; c < ch; ++c) o[c] = fill;
-        continue;
-      }
-      const int x0 = static_cast<int>(fx);
-      const int y0 = static_cast<int>(fy);
-      const float tx = (sx - fx) * 256.0f;
-      const float ty = (sy - fy) * 256.0f;
-      const int ax = static_cast<int>(tx + 0.5f);
-      const int ay = static_cast<int>(ty + 0.5f);
-      const std::uint8_t* r0 = src.row(y0) + static_cast<std::size_t>(x0) * ch;
-      const std::uint8_t* r1 = src.row(y0 + 1) + static_cast<std::size_t>(x0) * ch;
-      for (int c = 0; c < ch; ++c) {
-        const int t0 = (256 - ax) * r0[c] + ax * r0[ch + c];
-        const int t1 = (256 - ax) * r1[c] + ax * r1[ch + c];
-        const int v = (256 - ay) * t0 + ay * t1;
-        o[c] = static_cast<std::uint8_t>((v + (1 << 15)) >> 16);
-      }
-    }
-}
-
 int count_mismatches(const img::Image8& a, const img::Image8& b) {
   int bad = 0;
   for (int y = 0; y < a.height(); ++y)
@@ -308,32 +336,139 @@ int count_mismatches(const img::Image8& a, const img::Image8& b) {
   return bad;
 }
 
+/// The per-pixel float bilinear kernel on `rect` of a frame filled with 200:
+/// the bytes every float bilinear kernel below must reproduce.
+img::Image8 per_pixel(img::ConstImageView<std::uint8_t> src,
+                      const WarpMap& map, par::Rect rect, int off_x, int off_y,
+                      const RemapOptions& opts) {
+  img::Image8 out(map.width, map.height, src.channels);
+  out.fill(200);
+  core::remap_rect_offset(src, out.view(), map, rect, off_x, off_y, opts);
+  return out;
+}
+
+/// `src` from (x0, y0) to its bottom-right corner, copied into its own
+/// buffer: the kind of window the simulators hand run_windowed.
+img::Image8 window_of(const img::Image8& src, int x0, int y0) {
+  const int ch = src.channels();
+  img::Image8 win(src.width() - x0, src.height() - y0, ch);
+  for (int y = 0; y < win.height(); ++y)
+    std::copy(src.row(y0 + y) + static_cast<std::size_t>(x0) * ch,
+              src.row(y0 + y) + static_cast<std::size_t>(src.width()) * ch,
+              win.row(y));
+  return win;
+}
+
+/// Runs every path that must equal the per-pixel kernel on `rect`: the
+/// Scalar entry's resolved kernel under each border mode, called directly
+/// and through run_windowed over an offset window; a direct
+/// remap_bilinear_gather call at each of `strips`; and, where the gather
+/// datapath runs, the SimdGather entry (constant border only). Returns the
+/// pixel evaluations compared.
+long long expect_float_bilinear_exact(const img::Image8& src,
+                                      const WarpMap& map, par::Rect rect,
+                                      std::initializer_list<int> strips,
+                                      const std::string& what) {
+  constexpr int kOffX = 3, kOffY = 2;
+  const img::Image8 window = window_of(src, kOffX, kOffY);
+  const int ch = src.channels();
+  img::Image8 got(map.width, map.height, ch);
+  simd::SoaScratch scratch;
+  long long evaluated = 0;
+  const auto expect_same = [&](const img::Image8& want, const char* path,
+                               img::BorderMode border) {
+    EXPECT_EQ(count_mismatches(want, got), 0)
+        << what << ' ' << path << " border=" << img::border_name(border)
+        << " rect=(" << rect.x0 << ',' << rect.y0 << ',' << rect.x1 << ','
+        << rect.y1 << ')';
+    evaluated += rect.area();
+  };
+  for (const img::BorderMode border :
+       {img::BorderMode::Constant, img::BorderMode::Replicate,
+        img::BorderMode::Reflect}) {
+    const RemapOptions opts{Interp::Bilinear, border, 7};
+    ExecContext ctx;
+    ctx.src = src.view();
+    ctx.dst = got.view();
+    ctx.map = &map;
+    ctx.opts = opts;
+    const ResolvedKernel scalar = resolve_kernel(ctx, KernelVariant::Scalar);
+    EXPECT_EQ(scalar.key().variant, KernelVariant::Scalar);
+
+    const img::Image8 want = per_pixel(src.view(), map, rect, 0, 0, opts);
+    got.fill(200);
+    scalar(src.view(), got.view(), rect);
+    expect_same(want, "scalar entry", border);
+    for (const int strip : strips) {
+      got.fill(200);
+      simd::remap_bilinear_gather(src.view(), got.view(), map, rect, 0, 0,
+                                  opts, scratch, strip);
+      expect_same(want, "direct call", border);
+    }
+    if (border == img::BorderMode::Constant && simd::gather_available()) {
+      const ResolvedKernel gather =
+          resolve_kernel(ctx, KernelVariant::SimdGather);
+      EXPECT_EQ(gather.key().variant, KernelVariant::SimdGather);
+      got.fill(200);
+      gather(src.view(), got.view(), rect, &scratch);
+      expect_same(want, "simd-gather entry", border);
+    }
+
+    const img::Image8 want_win =
+        per_pixel(window.view(), map, rect, kOffX, kOffY, opts);
+    got.fill(200);
+    scalar.run_windowed(window.view(), got.view(), rect, kOffX, kOffY);
+    expect_same(want_win, "scalar entry windowed", border);
+  }
+  return evaluated;
+}
+
 TEST(GatherKernel, FloatMatchesItsContractByteForByteOnSaltedMaps) {
-  // 181 wide pads the pitch; 128 wide single-channel is a tight pitch, so
-  // the last row's dword reads hit the buffer-end fixup path.
+  // The float gather's contract is the per-pixel kernel's bytes. 181 wide
+  // pads the pitch; 128 wide single-channel is a tight pitch, so the last
+  // row's dword reads hit the buffer-end guard.
   for (const int ch : {1, 3}) {
     for (const auto& [w, h] : {std::pair{181, 67}, std::pair{128, 40}}) {
       const img::Image8 src = random_image(w, h, ch, 71);
       const WarpMap map = salted_map(w, h, w, h, 72 + ch);
       util::Rng rng(73);
-      simd::SoaScratch scratch;
-      std::vector<par::Rect> rects{{0, 0, w, h}};
+      std::vector<par::Rect> rects{{0, 0, w, h},
+                                   {0, 0, 1, 1},
+                                   {w - 1, h - 1, w, h},
+                                   {w / 2, h / 3, w / 2 + 1, h / 3 + 1}};
       for (int r = 0; r < 12; ++r) rects.push_back(odd_rect(w, h, rng));
+      const std::string what = "salted ch=" + std::to_string(ch) +
+                               " w=" + std::to_string(w);
       for (const par::Rect& rect : rects)
-        for (const int strip : {8, 13, 256}) {
-          img::Image8 want(w, h, ch), got(w, h, ch);
-          want.fill(200);
-          got.fill(200);
-          gather_contract(src, want, map, rect, 7);
-          simd::remap_bilinear_gather(src.view(), got.view(), map, rect, 7,
-                                      scratch, strip);
-          EXPECT_EQ(count_mismatches(want, got), 0)
-              << "ch=" << ch << " w=" << w << " strip=" << strip
-              << " rect=(" << rect.x0 << ',' << rect.y0 << ',' << rect.x1
-              << ',' << rect.y1 << ')';
-        }
+        expect_float_bilinear_exact(src, map, rect, {8, 13, 256}, what);
     }
   }
+}
+
+TEST(GatherKernel, FloatIsByteForByteThePerPixelKernel) {
+  // Real maps, every pixel: a full 1080p frame, and a 200-degree lens whose
+  // image circle leaves most of a 640x480 frame to the border modes. A
+  // reordered blend moves a byte only a few times per frame, hence the
+  // evaluation floor.
+  long long evaluated = 0;
+  struct RealMap {
+    int w, h, ch;
+    double fov_deg;
+  };
+  for (const RealMap m : {RealMap{1920, 1080, 1, 180.0},
+                          RealMap{640, 480, 1, 200.0},
+                          RealMap{640, 480, 3, 200.0}}) {
+    const FisheyeCamera cam = FisheyeCamera::centered(
+        LensKind::Equidistant, deg_to_rad(m.fov_deg), m.w, m.h);
+    const PerspectiveView view(m.w, m.h, cam.lens().focal() * 0.5);
+    const WarpMap map = build_map(cam, view);
+    const img::Image8 src = random_image(m.w, m.h, m.ch, 74);
+    evaluated += expect_float_bilinear_exact(
+        src, map, {0, 0, m.w, m.h}, {0},
+        "real " + std::to_string(m.w) + "x" + std::to_string(m.h) +
+            " ch=" + std::to_string(m.ch));
+  }
+  EXPECT_GE(evaluated, 10'000'000);
 }
 
 TEST(SoaKernel, FloatPixelIsIndependentOfRectOffsetAndStrip) {
@@ -409,20 +544,32 @@ TEST(Datapath, PlanRecordsTheVariantThatActuallyRuns) {
 }
 
 TEST(Datapath, ForceScalarEnvGroundsEveryVariant) {
-  ASSERT_EQ(setenv("FISHEYE_FORCE_SCALAR", "1", 1), 0);
   Frame f;
-  for (const char* spec :
-       {"simd:threads=1,datapath=gather", "simd:threads=1"}) {
+  f.src = random_image(kW, kH, 1, 91);
+  // Grounded or not, the exact plans produce the per-pixel kernel's bytes.
+  img::Image8 want(kW, kH, 1);
+  core::remap_rect(f.src.view(), want.view(), f.map, {0, 0, kW, kH}, {});
+  const auto run = [&f](const char* spec) {
     const auto backend = BackendRegistry::create(spec);
     const ExecutionPlan plan = backend->plan(f.ctx());
-    EXPECT_EQ(plan.kernel().key().variant, KernelVariant::Scalar) << spec;
+    f.dst.fill(0);
+    backend->execute(plan, f.ctx());
+    return plan.kernel().key().variant;
+  };
+  ASSERT_EQ(setenv("FISHEYE_FORCE_SCALAR", "1", 1), 0);
+  for (const char* spec :
+       {"simd:threads=1,datapath=gather", "simd:threads=1", "serial"}) {
+    EXPECT_EQ(run(spec), KernelVariant::Scalar) << spec;
+    EXPECT_EQ(count_mismatches(want, f.dst), 0) << spec;
   }
   ASSERT_EQ(unsetenv("FISHEYE_FORCE_SCALAR"), 0);
   // And fresh plans pick the SIMD paths back up (read per call, not
-  // latched at startup).
-  const auto backend = BackendRegistry::create("simd:threads=1");
-  EXPECT_EQ(backend->plan(f.ctx()).kernel().key().variant,
-            KernelVariant::SimdSoa);
+  // latched at startup), the byte-exact ones with the same bytes.
+  EXPECT_EQ(run("simd:threads=1"), KernelVariant::SimdSoa);
+  for (const char* spec : {"simd:threads=1,datapath=gather", "serial"}) {
+    (void)run(spec);
+    EXPECT_EQ(count_mismatches(want, f.dst), 0) << spec;
+  }
 }
 
 TEST(Datapath, UnknownValuesAreRejectedNamingTheToken) {
