@@ -1,6 +1,5 @@
 #include "core/backend.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "runtime/timer.hpp"
 #include "simd/remap_gather.hpp"
 #include "simd/remap_simd.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 
 #ifdef _OPENMP
@@ -215,13 +215,6 @@ par::Schedule ScheduleChoice::parse(const std::string& value) {
                         "' (valid: static, dynamic, guided, steal)");
 }
 
-ExecutionPlan Backend::plan(const ExecContext& ctx) {
-  std::shared_ptr<const ConvertedMap> converted;
-  (void)resolve_map(ctx, converted);  // validates the choice against ctx
-  return make_plan(ctx, {par::Rect{0, 0, ctx.dst.width, ctx.dst.height}},
-                   nullptr, std::move(converted));
-}
-
 void Backend::execute(const ExecContext& ctx) {
   if (!cached_plan_.matches(ctx, cached_name())) cached_plan_ = plan(ctx);
   execute(cached_plan_, ctx);
@@ -306,67 +299,68 @@ std::string Backend::decorate_spec(std::string spec) const {
   return spec;
 }
 
-void SerialBackend::execute(const ExecutionPlan& plan,
-                            const ExecContext& ctx) {
-  check_plan(plan, ctx);
-  const ResolvedKernel& kernel = plan.kernel();
-  PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(plan.tiles().size());
-  for (std::size_t i = 0; i < plan.tiles().size(); ++i) {
-    const rt::Stopwatch sw;
-    kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-    inst.tile_seconds[i] = sw.elapsed_seconds();
+CpuBackend::CpuBackend(CpuOptions options, unsigned threads)
+    : options_(options) {
+  if (threads == 0) threads = util::cpu_info().hardware_threads;
+  if (threads > 1) {
+    owned_pool_ = std::make_unique<par::ThreadPool>(threads);
+    pool_ = owned_pool_.get();
   }
-  record_bytes(plan);
 }
 
-PoolBackend::PoolBackend(par::ThreadPool& pool) : PoolBackend(pool, Options{}) {}
+CpuBackend::CpuBackend(par::ThreadPool& pool, CpuOptions options)
+    : options_(options), pool_(pool.size() > 1 ? &pool : nullptr) {}
 
-PoolBackend::PoolBackend(par::ThreadPool& pool, Options options)
-    : pool_(pool), options_(options) {}
-
-PoolBackend::PoolBackend(Options options, unsigned threads)
-    : owned_pool_(std::make_unique<par::ThreadPool>(threads)),
-      pool_(*owned_pool_),
-      options_(options) {}
-
-std::string PoolBackend::name() const {
+std::string CpuBackend::name() const {
   std::ostringstream os;
-  os << "pool:" << par::schedule_name(options_.schedule);
-  switch (options_.partition) {
-    case par::PartitionKind::RowBlocks: os << ",rows"; break;
-    case par::PartitionKind::RowCyclic: os << ",cyclic"; break;
-    case par::PartitionKind::Tiles: os << ",tiles"; break;
-    case par::PartitionKind::ColumnBlocks: os << ",cols"; break;
+  os << "cpu:threads=" << threads();
+  if (options_.schedule != par::Schedule::Static)
+    os << ",schedule=" << par::schedule_name(options_.schedule);
+  if (options_.partition) {
+    switch (*options_.partition) {
+      case par::PartitionKind::RowBlocks: os << ",rows"; break;
+      case par::PartitionKind::ColumnBlocks: os << ",cols"; break;
+      case par::PartitionKind::RowCyclic: os << ",cyclic"; break;
+      case par::PartitionKind::Tiles:
+        os << ",tiles,tile=" << options_.tile_w << 'x' << options_.tile_h;
+        break;
+    }
+    if (options_.chunks != 0 &&
+        (*options_.partition == par::PartitionKind::RowBlocks ||
+         *options_.partition == par::PartitionKind::ColumnBlocks))
+      os << '=' << options_.chunks;
+  } else if (options_.chunks != 0) {
+    os << ",chunks=" << options_.chunks;
   }
-  if ((options_.partition == par::PartitionKind::RowBlocks ||
-       options_.partition == par::PartitionKind::ColumnBlocks) &&
-      options_.chunks != 0)
-    os << '=' << options_.chunks;
-  if (options_.partition == par::PartitionKind::Tiles)
-    os << ",tile=" << options_.tile_w << 'x' << options_.tile_h;
-  os << ",threads=" << pool_.size();
+  if (options_.datapath != KernelVariant::Scalar)
+    os << ",datapath=" << DatapathChoice::token(options_.datapath);
   return decorate_spec(os.str());
 }
 
-ExecutionPlan PoolBackend::plan(const ExecContext& ctx) {
+ExecutionPlan CpuBackend::plan(const ExecContext& ctx) {
   maybe_autotune(ctx);
   const TunedChoice& t = tuned();
   return plan_with(ctx, t.requested && !t.pending ? t.spec : TunedSpec{});
 }
 
-ExecutionPlan PoolBackend::plan_with(const ExecContext& ctx,
-                                     const TunedSpec& t) {
+ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
+                                    const TunedSpec& t) {
   std::shared_ptr<const ConvertedMap> converted;
   const ExecContext ectx =
       resolve_map(ctx, converted, t.map ? *t.map : map_choice());
-  int chunks = options_.chunks;
-  if (chunks == 0) chunks = static_cast<int>(pool_.size()) * 4;
-  const int tile_w = t.tile_w > 0 ? t.tile_w : options_.tile_w;
-  const int tile_h = t.tile_h > 0 ? t.tile_h : options_.tile_h;
-  std::vector<par::Rect> tiles =
-      par::partition(ctx.dst.width, ctx.dst.height, options_.partition,
-                     chunks, tile_w, tile_h);
+  std::vector<par::Rect> tiles;
+  if (!options_.partition && threads() == 1) {
+    tiles = {par::Rect{0, 0, ctx.dst.width, ctx.dst.height}};
+  } else {
+    const int chunks = options_.chunks != 0
+                           ? options_.chunks
+                           : static_cast<int>(threads()) * 4;
+    tiles = par::partition(
+        ctx.dst.width, ctx.dst.height,
+        options_.partition.value_or(par::PartitionKind::RowBlocks), chunks,
+        t.tile_w > 0 ? t.tile_w : options_.tile_w,
+        t.tile_h > 0 ? t.tile_h : options_.tile_h);
+  }
   const bool steal = options_.schedule == par::Schedule::Steal;
   if (steal) {
     // Reorder the partition by source locality once, at plan time, and
@@ -377,27 +371,54 @@ ExecutionPlan PoolBackend::plan_with(const ExecContext& ctx,
   }
   ExecutionPlan p =
       make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
-                t.datapath.value_or(KernelVariant::Scalar), t.strip);
-  if (steal) init_steal_state(p.workspace(), pool_.size());
+                t.datapath.value_or(options_.datapath), t.strip);
+  if (steal) init_steal_state(p.workspace(), threads());
   return p;
 }
 
-void PoolBackend::maybe_autotune(const ExecContext& ctx) {
+void CpuBackend::maybe_autotune(const ExecContext& ctx) {
   if (!tuned().requested || !tuned().pending) return;
-  // The pool backend's measured axis is the tile shape; it only exists
-  // under a Tiles partition (row/cyclic decompositions ignore tile=).
-  if (options_.partition != par::PartitionKind::Tiles) {
+  std::vector<AutotuneCandidate> cands;
+  if (!options_.partition) {
+    // Whole frame or default row blocks: the measured axes are the kernel
+    // datapath and its strip length.
+    std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
+    if (simd::gather_available())
+      variants.push_back(KernelVariant::SimdGather);
+    for (const KernelVariant v : variants) {
+      for (const int strip : {128, simd::kSoaStrip}) {
+        TunedSpec t;
+        t.datapath = v;
+        t.strip = strip;
+        cands.push_back({t, t.token()});
+      }
+    }
+    // Map-representation candidate: trading the float LUT for a compact
+    // grid often wins on bandwidth; only probed when the context can
+    // convert and the user didn't pin map= explicitly.
+    if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
+        ctx.map != nullptr && ctx.opts.interp == Interp::Bilinear) {
+      for (const KernelVariant v : variants) {
+        TunedSpec t;
+        t.datapath = v;
+        t.map = MapChoice::parse("compact:8");
+        cands.push_back({t, t.token()});
+      }
+    }
+  } else if (*options_.partition == par::PartitionKind::Tiles) {
+    // The tile shape is a measured axis only under a Tiles partition
+    // (row/column/cyclic decompositions ignore tile=).
+    cands.push_back({TunedSpec{}, "default"});
+    constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
+    for (const auto& wh : kTiles) {
+      TunedSpec t;
+      t.tile_w = wh[0];
+      t.tile_h = wh[1];
+      cands.push_back({t, "tile " + t.token()});
+    }
+  } else {
     resolve_tuned(TunedSpec{});
     return;
-  }
-  std::vector<AutotuneCandidate> cands;
-  cands.push_back({TunedSpec{}, "default"});
-  constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
-  for (const auto& wh : kTiles) {
-    TunedSpec t;
-    t.tile_w = wh[0];
-    t.tile_h = wh[1];
-    cands.push_back({t, "tile " + t.token()});
   }
   const auto best = autotune_select(
       ctx, autotune_cache_key(ctx, cached_name()), cands,
@@ -408,22 +429,28 @@ void PoolBackend::maybe_autotune(const ExecContext& ctx) {
   if (best) resolve_tuned(*best);
 }
 
-void PoolBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
+void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
   check_plan(plan, ctx);
   const ResolvedKernel& kernel = plan.kernel();
+  const std::vector<par::Rect>& tiles = plan.tiles();
   PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(plan.tiles().size());
-  if (options_.schedule == par::Schedule::Steal) {
+  inst.begin_frame(tiles.size());
+  const auto run_tile = [&](std::size_t i) {
+    const rt::Stopwatch sw;
+    kernel(ctx.src, ctx.dst, tiles[i]);
+    inst.tile_seconds[i] = sw.elapsed_seconds();
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < tiles.size(); ++i) run_tile(i);
+  } else if (options_.schedule == par::Schedule::Steal) {
     const Workspace& ws = plan.workspace();
-    if (!steal_) steal_ = std::make_unique<par::WorkStealingPool>(pool_);
+    if (!steal_) steal_ = std::make_unique<par::WorkStealingPool>(*pool_);
     par::detail::ErrorSlot errors;
     const par::StealStats ss = steal_->run_ordered(
         ws.steal_order.data(), ws.steal_order.size(), ws.steal_runs,
         [&](std::size_t i) {
           try {
-            const rt::Stopwatch sw;
-            kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-            inst.tile_seconds[i] = sw.elapsed_seconds();
+            run_tile(i);
           } catch (...) {
             errors.capture();
           }
@@ -431,139 +458,12 @@ void PoolBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
     inst.local_tiles = ss.local;
     inst.stolen_tiles = ss.stolen;
     inst.steals = ss.steals;
-    record_bytes(plan);
     errors.rethrow_if_set();
-    return;
+  } else {
+    par::parallel_for_each(*pool_, tiles.size(), run_tile,
+                           {options_.schedule, 1});
   }
-  par::parallel_for_each(
-      pool_, plan.tiles().size(),
-      [&](std::size_t i) {
-        const rt::Stopwatch sw;
-        kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-        inst.tile_seconds[i] = sw.elapsed_seconds();
-      },
-      {options_.schedule, 1});
   record_bytes(plan);
-}
-
-SimdBackend::SimdBackend(unsigned threads) {
-  if (threads != 1) {
-    owned_pool_ = std::make_unique<par::ThreadPool>(threads);
-    pool_ = owned_pool_.get();
-  }
-}
-
-void SimdBackend::set_datapath(KernelVariant v) {
-  datapath_ = v;
-  clear_name_cache();
-}
-
-std::string SimdBackend::name() const {
-  std::ostringstream os;
-  os << "simd:threads=" << (pool_ != nullptr ? pool_->size() : 1);
-  if (datapath_ != KernelVariant::SimdSoa)
-    os << ",datapath=" << DatapathChoice::token(datapath_);
-  return decorate_spec(os.str());
-}
-
-ExecutionPlan SimdBackend::plan(const ExecContext& ctx) {
-  maybe_autotune(ctx);
-  const TunedChoice& t = tuned();
-  return plan_with(ctx, t.requested && !t.pending ? t.spec : TunedSpec{});
-}
-
-ExecutionPlan SimdBackend::plan_with(const ExecContext& ctx,
-                                     const TunedSpec& t) {
-  std::shared_ptr<const ConvertedMap> converted;
-  (void)resolve_map(ctx, converted, t.map ? *t.map : map_choice());
-  // SoA/gather strip kernels — float, packed (gather only) and compact
-  // LUTs, bilinear, constant border; resolve_kernel rejects everything
-  // else and effective_variant() degrades gather off-AVX2.
-  std::vector<par::Rect> tiles =
-      pool_ == nullptr
-          ? std::vector<par::Rect>{par::Rect{0, 0, ctx.dst.width,
-                                             ctx.dst.height}}
-          : par::partition(ctx.dst.width, ctx.dst.height,
-                           par::PartitionKind::RowBlocks,
-                           static_cast<int>(pool_->size()) * 4);
-  ExecutionPlan p =
-      make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
-                t.datapath.value_or(datapath_), t.strip);
-  // One SoA strip scratch per lane, owned by the plan: tiles borrow their
-  // lane's scratch instead of burning ~11 KB of stack per tile.
-  p.workspace().soa.resize(pool_ != nullptr ? pool_->size() : 1);
-  return p;
-}
-
-void SimdBackend::maybe_autotune(const ExecContext& ctx) {
-  if (!tuned().requested || !tuned().pending) return;
-  std::vector<AutotuneCandidate> cands;
-  std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
-  if (simd::gather_available())
-    variants.push_back(KernelVariant::SimdGather);
-  for (const KernelVariant v : variants) {
-    for (const int strip : {128, simd::kSoaStrip}) {
-      TunedSpec t;
-      t.datapath = v;
-      t.strip = strip;
-      cands.push_back({t, t.token()});
-    }
-  }
-  // Map-representation candidate: trading the float LUT for a compact
-  // grid often wins on bandwidth; only probed when the context can
-  // convert and the user didn't pin map= explicitly.
-  if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
-      ctx.map != nullptr && ctx.opts.interp == Interp::Bilinear) {
-    for (const KernelVariant v : variants) {
-      TunedSpec t;
-      t.datapath = v;
-      t.map = MapChoice::parse("compact:8");
-      cands.push_back({t, t.token()});
-    }
-  }
-  const auto best = autotune_select(
-      ctx, autotune_cache_key(ctx, cached_name()), cands,
-      [this](const ExecContext& c, const TunedSpec& t) {
-        return plan_with(c, t);
-      },
-      [this](const ExecutionPlan& p, const ExecContext& c) { execute(p, c); });
-  if (best) resolve_tuned(*best);
-}
-
-void SimdBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
-  check_plan(plan, ctx);
-  const ResolvedKernel& kernel = plan.kernel();
-  Workspace& ws = plan.workspace();
-  PlanInstrumentation& inst = plan.instrumentation();
-  const std::size_t n = plan.tiles().size();
-  inst.begin_frame(n);
-  if (pool_ == nullptr) {
-    const rt::Stopwatch sw;
-    kernel(ctx.src, ctx.dst, plan.tiles()[0], ws.soa.data());
-    inst.tile_seconds[0] = sw.elapsed_seconds();
-    record_bytes(plan);
-    return;
-  }
-  // Self-scheduled dynamic loop: each lane owns one workspace scratch and
-  // pulls tiles off a shared cursor (the allocation-free equivalent of
-  // parallel_for_each with Schedule::Dynamic, chunk 1).
-  std::atomic<std::size_t> cursor{0};
-  par::detail::ErrorSlot errors;
-  pool_->run_indexed(ws.soa.size(), [&](std::size_t lane) {
-    simd::SoaScratch* scratch = ws.soa.data() + lane;
-    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < n; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        const rt::Stopwatch sw;
-        kernel(ctx.src, ctx.dst, plan.tiles()[i], scratch);
-        inst.tile_seconds[i] = sw.elapsed_seconds();
-      } catch (...) {
-        errors.capture();
-      }
-    }
-  });
-  record_bytes(plan);
-  errors.rethrow_if_set();
 }
 
 #ifdef _OPENMP

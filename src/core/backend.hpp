@@ -63,7 +63,7 @@ struct ScheduleChoice {
 };
 
 /// Kernel-datapath selection requested by a spec's `datapath=` option on
-/// the simd backend. Thin parse/help wrapper mirroring ScheduleChoice;
+/// the cpu backend. Thin parse/help wrapper mirroring ScheduleChoice;
 /// the selected variant is still subject to core::effective_variant() at
 /// plan time (gather degrades to SoA/scalar off-AVX2, FISHEYE_FORCE_SCALAR
 /// grounds everything), so a spec tuned on one host runs everywhere.
@@ -129,7 +129,7 @@ class Backend {
   /// and options are read — the views' pixel pointers may be null.
   /// Throws InvalidArgument when the backend cannot execute this
   /// configuration at all (wrong map mode, unsupported interpolation).
-  [[nodiscard]] virtual ExecutionPlan plan(const ExecContext& ctx);
+  [[nodiscard]] virtual ExecutionPlan plan(const ExecContext& ctx) = 0;
 
   /// Steady-state execution of one frame. `plan` must have been produced
   /// by this backend for a matching context (checked).
@@ -210,10 +210,6 @@ class Backend {
   /// every frame and must not pay a string allocation to do so.
   [[nodiscard]] const std::string& cached_name() const;
 
-  /// Invalidate the cached name after a derived-class option changes what
-  /// name() returns (e.g. SimdBackend::set_datapath).
-  void clear_name_cache() noexcept { name_cache_.clear(); }
-
   /// Append the canonical map= and tuned= options to a spec string (no-op
   /// for unset choices).
   [[nodiscard]] std::string decorate_spec(std::string spec) const;
@@ -225,40 +221,38 @@ class Backend {
   mutable std::string name_cache_;
 };
 
-/// Single-thread whole-frame execution (one plan tile).
-class SerialBackend final : public Backend {
- public:
-  using Backend::execute;
-  void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
-  [[nodiscard]] std::string name() const override {
-    return decorate_spec("serial");
-  }
+/// The CPU backend's plan shape: partition, kernel datapath and schedule.
+struct CpuOptions {
+  par::Schedule schedule = par::Schedule::Static;
+  /// Unset: one whole-frame tile at one thread, row blocks otherwise.
+  std::optional<par::PartitionKind> partition;
+  /// RowBlocks/ColumnBlocks band count; 0 = 4 x threads.
+  int chunks = 0;
+  int tile_w = 64;
+  int tile_h = 64;
+  /// Kernel datapath (the datapath= option). Subject to
+  /// effective_variant() degrade at plan time.
+  KernelVariant datapath = KernelVariant::Scalar;
 };
 
-/// Thread-pool execution with a choice of decomposition and schedule.
-/// The partition is computed once at plan time and reused every frame.
+/// The study's multicore execution as one loop: the frame is partitioned
+/// once at plan time, every tile runs the plan's resolved kernel, and the
+/// tiles are scheduled across a thread pool — or run on the caller at one
+/// thread. The registry kinds `serial`, `pool` and `simd` build this class
+/// and canonicalize to a `cpu:` spec.
 ///
 /// schedule=steal additionally reorders the partition at plan time by
 /// Morton code of each tile's *source* bounding-box centroid and
 /// pre-assigns contiguous runs of that order to the workers as initial
 /// deque contents (core/tile_order.hpp, parallel/work_stealing.hpp):
 /// workers walk source-adjacent tiles and steal only to repair imbalance.
-class PoolBackend final : public Backend {
+class CpuBackend final : public Backend {
  public:
-  struct Options {
-    par::Schedule schedule = par::Schedule::Static;
-    par::PartitionKind partition = par::PartitionKind::RowBlocks;
-    /// RowBlocks/ColumnBlocks chunk count; 0 = 4 x pool size.
-    int chunks = 0;
-    int tile_w = 64;
-    int tile_h = 64;
-  };
-
-  /// `pool` must outlive the backend.
-  explicit PoolBackend(par::ThreadPool& pool);
-  PoolBackend(par::ThreadPool& pool, Options options);
-  /// Owns a private pool of `threads` workers (0 = hardware concurrency).
-  explicit PoolBackend(Options options, unsigned threads = 0);
+  /// One thread (the default) runs tiles on the caller; more own a private
+  /// pool of `threads` workers (0 = hardware concurrency).
+  explicit CpuBackend(CpuOptions options = {}, unsigned threads = 1);
+  /// Runs on `pool`, which must outlive the backend.
+  explicit CpuBackend(par::ThreadPool& pool, CpuOptions options = {});
 
   using Backend::execute;
   [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
@@ -266,55 +260,28 @@ class PoolBackend final : public Backend {
   [[nodiscard]] std::string name() const override;
 
  private:
-  /// plan() with explicit tuning overrides (tile shape, map); the
-  /// autotuner's probe path and the resolved tuned= path.
+  [[nodiscard]] unsigned threads() const noexcept {
+    return pool_ != nullptr ? pool_->size() : 1;
+  }
+  /// plan() with explicit tuning overrides (datapath, strip, tile, map);
+  /// the autotuner's probe path and the resolved tuned= path.
   [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
                                         const TunedSpec& t);
-  /// Resolve a pending tuned=auto by measuring this backend's candidate
-  /// tile shapes on synthesized frames of ctx's geometry.
+  /// Resolve a pending tuned=auto by measuring the candidate set on
+  /// synthesized frames of ctx's geometry.
   void maybe_autotune(const ExecContext& ctx);
 
+  CpuOptions options_;
   std::unique_ptr<par::ThreadPool> owned_pool_;
-  par::ThreadPool& pool_;
-  /// Steal-schedule executor over pool_; created on first steal plan and
-  /// reused every frame (persistent per-worker deques).
-  std::unique_ptr<par::WorkStealingPool> steal_;
-  Options options_;
-};
-
-/// SoA SIMD kernel (bilinear + FloatLut + constant border only), optionally
-/// run across a thread pool over row blocks planned once.
-class SimdBackend final : public Backend {
- public:
-  /// `pool` may be null for single-threaded SIMD.
-  explicit SimdBackend(par::ThreadPool* pool = nullptr) : pool_(pool) {}
-  /// Owns a private pool; `threads` == 1 means no pool (pure serial SIMD),
-  /// 0 means hardware concurrency.
-  explicit SimdBackend(unsigned threads);
-
-  using Backend::execute;
-  [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
-  void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
-  [[nodiscard]] std::string name() const override;
-
-  /// Explicit kernel datapath (the datapath= option); SimdSoa by default.
-  /// Subject to effective_variant() degrade at plan time.
-  void set_datapath(KernelVariant v);
-  [[nodiscard]] KernelVariant datapath() const noexcept { return datapath_; }
-
- private:
-  /// plan() with explicit tuning overrides (datapath, strip, map); the
-  /// autotuner's probe path and the resolved tuned= path.
-  [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
-                                        const TunedSpec& t);
-  /// Resolve a pending tuned=auto by measuring this backend's candidate
-  /// set (datapath × strip × map representation) on synthesized frames.
-  void maybe_autotune(const ExecContext& ctx);
-
-  std::unique_ptr<par::ThreadPool> owned_pool_;
+  /// Null at one thread.
   par::ThreadPool* pool_ = nullptr;
-  KernelVariant datapath_ = KernelVariant::SimdSoa;
+  /// Steal-schedule executor over pool_; created on the first steal frame
+  /// and reused every frame (persistent per-worker deques).
+  std::unique_ptr<par::WorkStealingPool> steal_;
 };
+
+/// The default one-thread CpuBackend: one whole-frame tile, scalar kernel.
+using SerialBackend = CpuBackend;
 
 #ifdef _OPENMP
 /// OpenMP parallel-for over row blocks; the study's original multicore
@@ -323,7 +290,7 @@ class SimdBackend final : public Backend {
 /// schedule= selects the OpenMP loop schedule over the planned row blocks
 /// (static, dynamic, guided); schedule=steal instead plans a Morton-ordered
 /// tile partition (core/tile_order.hpp) and drives par::StealScheduler from
-/// an `omp parallel` team — same deques and counters as PoolBackend, OpenMP
+/// an `omp parallel` team — same deques and counters as CpuBackend, OpenMP
 /// threads as the lanes.
 class OpenMpBackend final : public Backend {
  public:

@@ -205,20 +205,28 @@ void apply_tuned_option(BackendSpec& spec, Backend& backend) {
   }
 }
 
-constexpr const char* kPoolOptions =
-    "static|dynamic|guided|steal (or schedule=static|dynamic|guided|steal), "
-    "rows[=N]|cyclic|tiles|cols[=N], chunks=N, "
-    "tile=WxH, threads=N, map=float|packed|compact:<stride>, "
-    "tuned=auto|<spec>";
+/// Parse a spec's `threads=` option, range-checked; `def` when absent.
+int threads_option(BackendSpec& spec, int def) {
+  const int threads = spec.value_int("threads", def);
+  require_spec_range(spec, "threads", threads, 0, 1024);
+  return threads;
+}
 
-std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
-  PoolBackend::Options o;
-  if (spec.flag("dynamic")) o.schedule = par::Schedule::Dynamic;
-  if (spec.flag("guided")) o.schedule = par::Schedule::Guided;
-  if (spec.flag("steal")) o.schedule = par::Schedule::Steal;
-  spec.flag("static");  // the default; accepted for symmetry
-  o.schedule = schedule_option(spec, o.schedule);
+/// Parse a spec's `datapath=` option through DatapathChoice, prefixing
+/// errors with the offending spec text. Returns `def` when absent.
+KernelVariant datapath_option(BackendSpec& spec, KernelVariant def) {
+  const auto v = spec.value("datapath");
+  if (!v) return def;
+  try {
+    return DatapathChoice::parse(*v);
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument("backend spec '" + spec.text() + "': " + e.what());
+  }
+}
 
+/// The partition options `cpu` shares with its `pool` alias:
+/// rows[=N]|cols[=N]|cyclic|tiles, chunks=N and tile=WxH.
+void partition_options(BackendSpec& spec, CpuOptions& o) {
   if (const auto rows = spec.value("rows")) {
     o.partition = par::PartitionKind::RowBlocks;
     o.chunks = parse_int(spec.text(), "rows", *rows);
@@ -236,66 +244,106 @@ std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
   }
   o.chunks = spec.value_int("chunks", o.chunks);
   std::tie(o.tile_w, o.tile_h) = spec.value_dims("tile", o.tile_w, o.tile_h);
-  const int threads = spec.value_int("threads", 0);
-  require_spec_range(spec, "threads", threads, 0, 1024);
   require_spec_range(spec, "chunks/rows/cols", o.chunks, 0, 1 << 20);
   require_spec_range(spec, "tile", o.tile_w, 1, 1 << 16);
   require_spec_range(spec, "tile", o.tile_h, 1, 1 << 16);
-  auto backend = std::make_unique<PoolBackend>(o,
-                                               static_cast<unsigned>(threads));
+}
+
+/// Consume map= and tuned= into `backend`, then reject leftover options.
+std::unique_ptr<Backend> finish_cpu(BackendSpec& spec,
+                                    std::unique_ptr<CpuBackend> backend,
+                                    const char* valid) {
   apply_map_option(spec, *backend);
   apply_tuned_option(spec, *backend);
-  spec.finish(kPoolOptions);
+  spec.finish(valid);
   return backend;
+}
+
+constexpr const char* kCpuOptions =
+    "threads=N, schedule=static|dynamic|guided|steal, "
+    "rows[=N]|cols[=N]|cyclic|tiles, chunks=N, tile=WxH, "
+    "datapath=scalar|soa|gather, map=float|packed|compact:<stride>, "
+    "tuned=auto|<spec>";
+
+std::unique_ptr<Backend> make_cpu(BackendSpec& spec) {
+  CpuOptions o;
+  o.schedule = schedule_option(spec, o.schedule);
+  partition_options(spec, o);
+  o.datapath = datapath_option(spec, o.datapath);
+  const int threads = threads_option(spec, 1);
+  return finish_cpu(
+      spec,
+      std::make_unique<CpuBackend>(o, static_cast<unsigned>(threads)),
+      kCpuOptions);
+}
+
+constexpr const char* kPoolOptions =
+    "static|dynamic|guided|steal (or schedule=static|dynamic|guided|steal), "
+    "rows[=N]|cyclic|tiles|cols[=N], chunks=N, "
+    "tile=WxH, threads=N, map=float|packed|compact:<stride>, "
+    "tuned=auto|<spec>";
+
+/// `pool`: cpu over a named partition (rows by default), any number of
+/// threads (0 = hardware concurrency, the default).
+std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
+  CpuOptions o;
+  o.partition = par::PartitionKind::RowBlocks;
+  if (spec.flag("dynamic")) o.schedule = par::Schedule::Dynamic;
+  if (spec.flag("guided")) o.schedule = par::Schedule::Guided;
+  if (spec.flag("steal")) o.schedule = par::Schedule::Steal;
+  spec.flag("static");  // the default; accepted for symmetry
+  o.schedule = schedule_option(spec, o.schedule);
+  partition_options(spec, o);
+  const int threads = threads_option(spec, 0);
+  return finish_cpu(
+      spec,
+      std::make_unique<CpuBackend>(o, static_cast<unsigned>(threads)),
+      kPoolOptions);
 }
 
 constexpr const char* kSimdOptions =
     "threads=N (1 = no pool), datapath=scalar|soa|gather, "
     "map=float|compact:<stride>, tuned=auto|<spec>";
 
+/// `simd`: cpu with the SoA datapath by default, the dynamic schedule on
+/// more than one thread, and the process-wide pool when threads= is absent.
 std::unique_ptr<Backend> make_simd(BackendSpec& spec) {
   const std::optional<std::string> tv = spec.value("threads");
   const int threads = tv ? parse_int(spec.text(), "threads", *tv) : -1;
   if (tv) require_spec_range(spec, "threads", threads, 0, 1024);
-  auto backend =
-      threads < 0 ? std::make_unique<SimdBackend>(&par::default_pool())
-                  : std::make_unique<SimdBackend>(
-                        static_cast<unsigned>(threads));
-  if (const auto dv = spec.value("datapath")) {
-    try {
-      backend->set_datapath(DatapathChoice::parse(*dv));
-    } catch (const InvalidArgument& e) {
-      throw InvalidArgument("backend spec '" + spec.text() + "': " +
-                            e.what());
-    }
-  }
-  apply_map_option(spec, *backend);
-  apply_tuned_option(spec, *backend);
-  spec.finish(kSimdOptions);
-  return backend;
+  CpuOptions o;
+  if (threads != 1) o.schedule = par::Schedule::Dynamic;
+  o.datapath = datapath_option(spec, KernelVariant::SimdSoa);
+  return finish_cpu(
+      spec,
+      threads < 0 ? std::make_unique<CpuBackend>(par::default_pool(), o)
+                  : std::make_unique<CpuBackend>(
+                        o, static_cast<unsigned>(threads)),
+      kSimdOptions);
 }
 
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
   // Core CPU kinds are registered here rather than via static objects so
-  // they exist the moment anyone reaches the registry.
-  add("serial", "single-thread whole-frame; map=float|packed|compact:<stride>",
+  // they exist the moment anyone reaches the registry. `serial`, `pool`
+  // and `simd` are aliases: each builds a CpuBackend named by a cpu: spec.
+  add("cpu", kCpuOptions, make_cpu);
+  add("serial", "cpu alias, one thread; map=float|packed|compact:<stride>",
       [](BackendSpec& spec) -> std::unique_ptr<Backend> {
-        auto backend = std::make_unique<SerialBackend>();
+        auto backend = std::make_unique<CpuBackend>();
         apply_map_option(spec, *backend);
         spec.finish("map=float|packed|compact:<stride>");
         return backend;
       });
-  add("pool", kPoolOptions, make_pool);
-  add("simd", kSimdOptions, make_simd);
+  add("pool", std::string("cpu alias; ") + kPoolOptions, make_pool);
+  add("simd", std::string("cpu alias; ") + kSimdOptions, make_simd);
 #ifdef _OPENMP
   add("openmp",
       "threads=N, schedule=static|dynamic|guided|steal, "
       "map=float|packed|compact:<stride>",
       [](BackendSpec& spec) -> std::unique_ptr<Backend> {
-        const int threads = spec.value_int("threads", 0);
-        require_spec_range(spec, "threads", threads, 0, 1024);
+        const int threads = threads_option(spec, 0);
         const par::Schedule schedule =
             schedule_option(spec, par::Schedule::Static);
         auto backend = std::make_unique<OpenMpBackend>(threads, schedule);

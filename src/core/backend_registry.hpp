@@ -3,7 +3,8 @@
 // A backend spec is `kind[:option,option,...]` where each option is a bare
 // flag (`dbuf`) or `key=value` (`threads=4`, `tile=128x32`). Examples:
 //
-//   serial
+//   cpu:threads=4,schedule=steal,tiles,datapath=gather
+//   serial                      (aliases of cpu: serial, pool, simd)
 //   pool:dynamic,rows=16,threads=8
 //   pool:guided,tiles,tile=128x64
 //   simd:threads=4

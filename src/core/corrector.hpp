@@ -9,8 +9,8 @@
 //                   .fov_degrees(180.0)
 //                   .output_size(1280, 720)
 //                   .build();
-//   core::SerialBackend serial;
-//   corr.correct(fisheye_frame.view(), out.view(), serial);
+//   core::CpuBackend cpu;  // one thread; or BackendRegistry::create(spec)
+//   corr.correct(fisheye_frame.view(), out.view(), cpu);
 #pragma once
 
 #include <functional>

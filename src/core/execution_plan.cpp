@@ -5,7 +5,6 @@
 
 #include "core/camera.hpp"
 #include "core/projection.hpp"
-#include "simd/remap_simd.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -37,9 +36,6 @@ ExecContext ConvertedMap::apply(ExecContext ctx) const noexcept {
   if (compact) ctx.compact = &*compact;
   return ctx;
 }
-
-Workspace::Workspace() = default;
-Workspace::~Workspace() = default;
 
 ExecutionPlan::ExecutionPlan(PlanKey key, std::vector<par::Rect> tiles,
                              std::shared_ptr<void> state)

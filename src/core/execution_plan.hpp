@@ -17,10 +17,10 @@
 //  * a ResolvedKernel — the tile compute function, looked up in the kernel
 //    catalogue (core/kernel.hpp) once at plan time;
 //  * a Workspace arena — the tile vector plus every steady-state scratch
-//    buffer (steal order/runs, resplit runs, SIMD SoA strips), sized at
-//    plan time so execute() performs no heap allocation;
-//  * per-tile instrumentation slots: every backend — serial, pooled, SIMD,
-//    and the accelerator simulators — fills one seconds slot per tile each
+//    buffer (steal order/runs, resplit runs), sized at plan time so
+//    execute() performs no heap allocation;
+//  * per-tile instrumentation slots: every backend — the CPU backends and
+//    the accelerator simulators — fills one seconds slot per tile each
 //    frame (wall-clock on CPU, cycle-model on the simulators) plus byte
 //    counters, summarized uniformly through rt::summarize_tiles.
 #pragma once
@@ -146,7 +146,8 @@ struct PlanInstrumentation {
 /// Per-plan arena: every buffer the steady-state execute path touches,
 /// sized at plan time so frames allocate nothing. The tile decomposition
 /// lives here too — the plan IS its workspace, and backends annotate it
-/// with whatever schedule state they need (steal order/runs, SoA scratch).
+/// with whatever schedule state they need (steal order/runs). Kernels keep
+/// their SoA strip scratch on their own stack.
 /// Like the instrumentation slots, the workspace is written by execution,
 /// which is why a plan may execute at most one frame at a time. Within
 /// that one frame, cooperating workers are fine — the pooled backends and
@@ -155,8 +156,7 @@ struct PlanInstrumentation {
 /// serialized against each other (the stream executor does this at frame
 /// retire).
 struct Workspace {
-  Workspace();
-  ~Workspace();
+  Workspace() = default;
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
 
@@ -170,8 +170,6 @@ struct Workspace {
   /// Re-balanced runs for frames whose worker count differs from the
   /// planned one (OpenMP teams can move); reused across frames.
   std::vector<std::size_t> resplit_runs;
-  /// One SoA strip scratch per SIMD lane (simd/remap_simd.hpp).
-  std::vector<simd::SoaScratch> soa;
   /// Analytic per-frame traffic, computed once at plan time.
   std::size_t bytes_in_estimate = 0;
   std::size_t bytes_out_estimate = 0;

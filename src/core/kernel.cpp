@@ -79,25 +79,15 @@ void k_otf_lanczos3(const KernelBinding& b, const TileArgs& a) {
 // --- SoA SIMD kernels (constant border only) ----------------------------
 
 void k_simd_float_bilinear(const KernelBinding& b, const TileArgs& a) {
-  if (a.scratch != nullptr) {
-    simd::remap_bilinear_soa(a.src, a.dst, *b.map, a.rect, b.opts.fill,
-                             *a.scratch, b.soa_strip);
-  } else {
-    simd::SoaScratch scratch;
-    simd::remap_bilinear_soa(a.src, a.dst, *b.map, a.rect, b.opts.fill,
-                             scratch, b.soa_strip);
-  }
+  simd::SoaScratch scratch;
+  simd::remap_bilinear_soa(a.src, a.dst, *b.map, a.rect, b.opts.fill, scratch,
+                           b.soa_strip);
 }
 
 void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
-  if (a.scratch != nullptr) {
-    simd::remap_compact_soa(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                            *a.scratch, b.soa_strip);
-  } else {
-    simd::SoaScratch scratch;
-    simd::remap_compact_soa(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                            scratch, b.soa_strip);
-  }
+  simd::SoaScratch scratch;
+  simd::remap_compact_soa(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
+                          scratch, b.soa_strip);
 }
 
 // --- AVX2 gather kernels (catalogued for constant border) ---------------
@@ -105,36 +95,21 @@ void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
 // Byte for byte k_float_bilinear, offsets and every border mode included,
 // so it also serves the Scalar entry wherever the gather datapath runs.
 void k_gather_float_bilinear(const KernelBinding& b, const TileArgs& a) {
-  if (a.scratch != nullptr) {
-    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
-                                a.src_off_y, b.opts, *a.scratch, b.soa_strip);
-  } else {
-    simd::SoaScratch scratch;
-    simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
-                                a.src_off_y, b.opts, scratch, b.soa_strip);
-  }
+  simd::SoaScratch scratch;
+  simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+                              a.src_off_y, b.opts, scratch, b.soa_strip);
 }
 
 void k_gather_packed_bilinear(const KernelBinding& b, const TileArgs& a) {
-  if (a.scratch != nullptr) {
-    simd::remap_packed_gather(a.src, a.dst, *b.packed, a.rect, b.opts.fill,
-                              *a.scratch, b.soa_strip);
-  } else {
-    simd::SoaScratch scratch;
-    simd::remap_packed_gather(a.src, a.dst, *b.packed, a.rect, b.opts.fill,
-                              scratch, b.soa_strip);
-  }
+  simd::SoaScratch scratch;
+  simd::remap_packed_gather(a.src, a.dst, *b.packed, a.rect, b.opts.fill,
+                            scratch, b.soa_strip);
 }
 
 void k_gather_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
-  if (a.scratch != nullptr) {
-    simd::remap_compact_gather(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                               *a.scratch, b.soa_strip);
-  } else {
-    simd::SoaScratch scratch;
-    simd::remap_compact_gather(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                               scratch, b.soa_strip);
-  }
+  simd::SoaScratch scratch;
+  simd::remap_compact_gather(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
+                             scratch, b.soa_strip);
 }
 
 // --- the catalogue ------------------------------------------------------
@@ -206,7 +181,7 @@ void ResolvedKernel::run_windowed(img::ConstImageView<std::uint8_t> src,
                                   par::Rect rect, int src_off_x,
                                   int src_off_y) const {
   FE_EXPECTS(windowed_);
-  fn_(binding_, TileArgs{src, dst, rect, src_off_x, src_off_y, nullptr});
+  fn_(binding_, TileArgs{src, dst, rect, src_off_x, src_off_y});
 }
 
 bool kernel_supported(const KernelKey& key) noexcept {

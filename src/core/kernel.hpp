@@ -26,10 +26,6 @@
 #include "image/image.hpp"
 #include "parallel/partition.hpp"
 
-namespace fisheye::simd {
-struct SoaScratch;
-}  // namespace fisheye::simd
-
 namespace fisheye::core {
 
 struct ExecContext;
@@ -116,8 +112,6 @@ struct TileArgs {
   par::Rect rect{};
   int src_off_x = 0;
   int src_off_y = 0;
-  /// SoA strip scratch for SimdSoa kernels; null = per-call stack scratch.
-  simd::SoaScratch* scratch = nullptr;
 };
 
 using TileKernelFn = void (*)(const KernelBinding&, const TileArgs&);
@@ -144,9 +138,8 @@ class ResolvedKernel {
   /// Execute one tile: `src` is the full source frame, `rect` a rectangle
   /// of `dst`.
   void operator()(img::ConstImageView<std::uint8_t> src,
-                  img::ImageView<std::uint8_t> dst, par::Rect rect,
-                  simd::SoaScratch* scratch = nullptr) const {
-    fn_(binding_, TileArgs{src, dst, rect, 0, 0, scratch});
+                  img::ImageView<std::uint8_t> dst, par::Rect rect) const {
+    fn_(binding_, TileArgs{src, dst, rect, 0, 0});
   }
 
   /// Windowed execution: `src` is a copied sub-window of the real source

@@ -11,8 +11,9 @@
 // exception crosses a thread boundary unobserved).
 //
 // Header templates end to end: the body is never erased into a
-// std::function, so per-frame dispatch (the pooled backends' hot path)
-// performs no heap allocation — see ThreadPool::run_indexed.
+// std::function, so per-frame dispatch (core::CpuBackend's static, dynamic
+// and guided schedules) performs no heap allocation — see
+// ThreadPool::run_indexed.
 #pragma once
 
 #include <algorithm>
@@ -150,7 +151,7 @@ void parallel_for(ThreadPool& pool, std::size_t n, const Body& body,
     }
     case Schedule::Steal: {
       // Generic entry point: chunks in index order, even initial runs, and
-      // work stealing to repair imbalance. The pooled backend's steal
+      // work stealing to repair imbalance. core::CpuBackend's steal
       // schedule does NOT come through here — it pre-orders plan tiles by
       // source locality and reuses a persistent WorkStealingPool (see
       // work_stealing.hpp); this path serves ad-hoc parallel_for callers.

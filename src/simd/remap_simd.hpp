@@ -32,9 +32,7 @@ inline constexpr int kSoaStrip = 256;
 /// SoA strip scratch shared by both kernels: one slot per strip pixel.
 /// The float kernel fills x0/y0 + the float weights; the compact kernel
 /// fills the clamped tap coordinates + the 0..256 integer weights. Sized
-/// ~11 KB — callers running many lanes should allocate one per lane once
-/// (the pooled SIMD backend keeps them in its plan's Workspace) rather
-/// than burn stack per tile.
+/// ~11 KB; the tile kernels keep one on their own stack per call.
 struct SoaScratch {
   alignas(64) std::int32_t x0[kSoaStrip];
   alignas(64) std::int32_t y0[kSoaStrip];

@@ -33,7 +33,7 @@ img::Image8 fisheye_input(int w, int h, int ch = 1) {
 TEST(BackendRegistry, CoreAndAcceleratorKindsAreRegistered) {
   BackendRegistry& reg = BackendRegistry::instance();
   for (const char* kind :
-       {"serial", "pool", "simd", "cell", "gpu", "fpga", "cluster"})
+       {"cpu", "serial", "pool", "simd", "cell", "gpu", "fpga", "cluster"})
     EXPECT_TRUE(reg.has(kind)) << kind;
   const auto kinds = reg.kinds();
   EXPECT_TRUE(std::is_sorted(kinds.begin(), kinds.end()));
@@ -45,6 +45,11 @@ TEST(BackendRegistry, SpecStringsRoundTripThroughName) {
   // name() must be a fixed point: create(create(spec)->name())->name()
   // reproduces the canonical spec exactly.
   const char* specs[] = {
+      "cpu",
+      "cpu:threads=2,schedule=steal,tiles,tile=32x16,datapath=gather",
+      "cpu:threads=2,schedule=guided,cols=3,datapath=soa",
+      "cpu:threads=3,chunks=6",
+      "cpu:threads=2,cyclic,map=packed,tuned=gather/128/-/-",
       "serial",
       "pool:static,rows,threads=2",
       "pool:dynamic,rows=8,threads=2",
@@ -74,6 +79,52 @@ TEST(BackendRegistry, SpecStringsRoundTripThroughName) {
     const auto backend = BackendRegistry::create(spec);
     const std::string canonical = backend->name();
     EXPECT_EQ(BackendRegistry::create(canonical)->name(), canonical) << spec;
+  }
+}
+
+TEST(BackendRegistry, AliasesCanonicalizeToCpuSpecs) {
+  // serial, pool and simd build the one CpuBackend: each spec names a cpu:
+  // spec that plans the alias's tiles and kernel datapath.
+  struct Case {
+    const char* spec;
+    const char* canonical;
+    std::size_t tiles;
+    core::KernelVariant datapath;  ///< before effective_variant() degrade
+  };
+  using core::KernelVariant;
+  const Case cases[] = {
+      {"serial", "cpu:threads=1", 1, KernelVariant::Scalar},
+      {"pool:threads=4", "cpu:threads=4,rows", 16, KernelVariant::Scalar},
+      {"pool:steal,threads=4", "cpu:threads=4,schedule=steal,rows", 16,
+       KernelVariant::Scalar},
+      {"pool:guided,tiles,tile=64x64,threads=2",
+       "cpu:threads=2,schedule=guided,tiles,tile=64x64", 6,
+       KernelVariant::Scalar},
+      {"simd:threads=1", "cpu:threads=1,datapath=soa", 1,
+       KernelVariant::SimdSoa},
+      {"simd:threads=4,datapath=gather",
+       "cpu:threads=4,schedule=dynamic,datapath=gather", 16,
+       KernelVariant::SimdGather},
+      {"simd:threads=1,tuned=gather/256/-/-",
+       "cpu:threads=1,datapath=soa,tuned=gather/256/-/-", 1,
+       KernelVariant::SimdGather},
+  };
+  const int w = 160, h = 120;
+  const Corrector corr = Corrector::builder(w, h).build();
+  img::Image8 src(w, h, 1), dst(w, h, 1);
+  const core::ExecContext ctx = corr.make_context(src.view(), dst.view());
+  for (const Case& c : cases) {
+    const auto backend = BackendRegistry::create(c.spec);
+    EXPECT_EQ(backend->name(), c.canonical) << c.spec;
+    const core::ExecutionPlan plan = backend->plan(ctx);
+    EXPECT_EQ(plan.tiles().size(), c.tiles) << c.spec;
+    EXPECT_EQ(plan.kernel().key().variant,
+              core::effective_variant(ctx, c.datapath))
+        << c.spec;
+    // The canonical spec plans the same tiles.
+    EXPECT_EQ(BackendRegistry::create(c.canonical)->plan(ctx).tiles(),
+              plan.tiles())
+        << c.spec;
   }
 }
 

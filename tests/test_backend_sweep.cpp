@@ -1,7 +1,7 @@
-// Exhaustive backend-configuration property sweep: PoolBackend must match
-// SerialBackend bit-exactly for EVERY interpolation kernel, border mode,
-// map mode, schedule and channel count — the parallel decomposition can
-// never change the image.
+// Exhaustive backend-configuration property sweep: a pooled CpuBackend
+// must match the one-thread one bit-exactly for EVERY interpolation kernel,
+// border mode, map mode, schedule and channel count — the parallel
+// decomposition can never change the image.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -59,7 +59,7 @@ TEST_P(BackendSweep, PoolMatchesSerialBitExact) {
   corr.correct(src.view(), ref.view(), serial);
 
   par::ThreadPool pool(4);
-  core::PoolBackend backend(
+  core::CpuBackend backend(
       pool, {c.schedule, par::PartitionKind::Tiles, 0, 40, 24});
   corr.correct(src.view(), out.view(), backend);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "accel/accel_backend.hpp"
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
 #include "image/synth.hpp"
+#include "simd/remap_gather.hpp"
 #include "video/pipeline.hpp"
 
 namespace fisheye {
@@ -17,6 +19,14 @@ namespace {
 
 using core::Corrector;
 using util::deg_to_rad;
+
+/// The SoA datapath under `schedule`.
+core::CpuOptions soa_options(par::Schedule schedule = par::Schedule::Static) {
+  core::CpuOptions o;
+  o.schedule = schedule;
+  o.datapath = core::KernelVariant::SimdSoa;
+  return o;
+}
 
 struct Shape {
   int w;
@@ -43,19 +53,25 @@ TEST_P(BackendEquivalence, PoolSchedulesMatchSerialBitExact) {
   core::SerialBackend serial;
   corr.correct(src.view(), ref.view(), serial);
 
+  // The float gather is byte-exact, so it joins the grid where it runs;
+  // without AVX2 it degrades to the +-1 SoA kernel and is left out.
+  std::vector<core::KernelVariant> datapaths{core::KernelVariant::Scalar};
+  if (simd::gather_available())
+    datapaths.push_back(core::KernelVariant::SimdGather);
   par::ThreadPool pool(4);
-  for (const par::Schedule sched :
-       {par::Schedule::Static, par::Schedule::Dynamic, par::Schedule::Guided,
-        par::Schedule::Steal})
-    for (const par::PartitionKind part :
-         {par::PartitionKind::RowBlocks, par::PartitionKind::RowCyclic,
-          par::PartitionKind::Tiles, par::PartitionKind::ColumnBlocks}) {
-      core::PoolBackend backend(pool, {sched, part, 0, 48, 24});
-      img::Image8 out(w, h, ch);
-      corr.correct(src.view(), out.view(), backend);
-      EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
-          << backend.name();
-    }
+  for (const core::KernelVariant datapath : datapaths)
+    for (const par::Schedule sched :
+         {par::Schedule::Static, par::Schedule::Dynamic,
+          par::Schedule::Guided, par::Schedule::Steal})
+      for (const par::PartitionKind part :
+           {par::PartitionKind::RowBlocks, par::PartitionKind::RowCyclic,
+            par::PartitionKind::Tiles, par::PartitionKind::ColumnBlocks}) {
+        core::CpuBackend backend(pool, {sched, part, 0, 48, 24, datapath});
+        img::Image8 out(w, h, ch);
+        corr.correct(src.view(), out.view(), backend);
+        EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
+            << backend.name();
+      }
 }
 
 TEST_P(BackendEquivalence, SimdWithinOneLevelOfSerial) {
@@ -67,12 +83,12 @@ TEST_P(BackendEquivalence, SimdWithinOneLevelOfSerial) {
   core::SerialBackend serial;
   corr.correct(src.view(), ref.view(), serial);
 
-  core::SimdBackend simd_serial(nullptr);
+  core::CpuBackend simd_serial(soa_options());
   corr.correct(src.view(), out.view(), simd_serial);
   EXPECT_LT(img::fraction_differing(ref.view(), out.view(), 1), 0.01);
 
   par::ThreadPool pool(3);
-  core::SimdBackend simd_pool(&pool);
+  core::CpuBackend simd_pool(pool, soa_options(par::Schedule::Dynamic));
   img::Image8 out2(w, h, ch);
   corr.correct(src.view(), out2.view(), simd_pool);
   // Threaded SIMD must equal serial SIMD exactly (same kernel, disjoint
@@ -154,20 +170,20 @@ TEST(Backends, OtfModeAcrossSchedulesMatchesSerial) {
   core::SerialBackend serial;
   corr.correct(src.view(), ref.view(), serial);
   par::ThreadPool pool(4);
-  core::PoolBackend backend(pool,
-                            {par::Schedule::Dynamic,
-                             par::PartitionKind::RowCyclic, 0, 64, 64});
+  core::CpuBackend backend(pool, {par::Schedule::Dynamic,
+                                 par::PartitionKind::RowCyclic, 0, 64, 64});
   corr.correct(src.view(), out.view(), backend);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
 }
 
 TEST(Backends, NamesDescribeConfiguration) {
   par::ThreadPool pool(2);
-  EXPECT_EQ(core::SerialBackend{}.name(), "serial");
-  core::PoolBackend pb(pool, {par::Schedule::Guided,
-                              par::PartitionKind::Tiles, 0, 64, 64});
-  EXPECT_EQ(pb.name(), "pool:guided,tiles,tile=64x64,threads=2");
-  EXPECT_EQ(core::SimdBackend{}.name(), "simd:threads=1");
+  EXPECT_EQ(core::SerialBackend{}.name(), "cpu:threads=1");
+  core::CpuBackend pb(pool, {par::Schedule::Guided,
+                             par::PartitionKind::Tiles, 0, 64, 64});
+  EXPECT_EQ(pb.name(), "cpu:threads=2,schedule=guided,tiles,tile=64x64");
+  EXPECT_EQ(core::CpuBackend(soa_options()).name(),
+            "cpu:threads=1,datapath=soa");
   accel::SpeConfig sc;
   sc.num_spes = 6;
   sc.double_buffering = false;
@@ -180,7 +196,7 @@ TEST(Backends, SimdRejectsUnsupportedModes) {
                              .map_mode(core::MapMode::OnTheFly)
                              .build();
   img::Image8 src(64, 64, 1), dst(64, 64, 1);
-  core::SimdBackend simd;
+  core::CpuBackend simd(soa_options());
   EXPECT_THROW(corr.correct(src.view(), dst.view(), simd),
                InvalidArgument);
 }

@@ -68,8 +68,8 @@ TEST(FuzzBackendSpec, ParsePunctuationSoup) {
 // paths rather than dying at the parser.
 TEST(FuzzBackendSpec, CreateTokenSoupNeverCrashes) {
   const std::vector<std::string> kinds = {
-      "serial", "pool", "simd",  "openmp", "cell",
-      "gpu",    "fpga", "cluster", "shard", "bogus", ""};
+      "cpu",  "serial", "pool",    "simd",  "openmp", "cell",
+      "gpu",  "fpga",   "cluster", "shard", "bogus",  ""};
   const std::vector<std::string> keys = {
       "threads", "rows",  "cols", "chunks", "tile", "spes", "ls",
       "sms",     "clock", "tex",  "cache",  "block", "bram", "ddr",
@@ -112,6 +112,8 @@ TEST(FuzzBackendSpec, OutOfRangeValuesThrowInvalidArgument) {
       "pool:threads=-2",    "pool:threads=100000", "pool:rows=-1",
       "pool:tile=0x0",      "pool:tile=100000x100000",
       "simd:threads=-2",    "simd:threads=100000",
+      "cpu:threads=-2",     "cpu:threads=100000",  "cpu:tile=0x0",
+      "cpu:datapath=avx9",
       "cell:spes=0",        "cell:spes=100000",    "cell:tile=1x1",
       "cell:ls=16",         "cell:cpp=0",          "cell:cpp=-1",
       "gpu:sms=0",          "gpu:sms=100000",      "gpu:block=2",

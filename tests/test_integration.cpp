@@ -191,12 +191,14 @@ TEST(Integration, AllPlatformsAgreeOnOneFrame) {
   float_corr.correct(fish.view(), ref.view(), serial);
 
   par::ThreadPool pool(4);
-  core::PoolBackend pooled(pool);
+  core::CpuBackend pooled(pool);
   img::Image8 out_pool(w, h, 1);
   float_corr.correct(fish.view(), out_pool.view(), pooled);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out_pool.view()));
 
-  core::SimdBackend simd;
+  core::CpuOptions soa;
+  soa.datapath = core::KernelVariant::SimdSoa;
+  core::CpuBackend simd(soa);
   img::Image8 out_simd(w, h, 1);
   float_corr.correct(fish.view(), out_simd.view(), simd);
   EXPECT_LT(img::fraction_differing(ref.view(), out_simd.view(), 1), 0.01);

@@ -410,7 +410,7 @@ long long expect_float_bilinear_exact(const img::Image8& src,
           resolve_kernel(ctx, KernelVariant::SimdGather);
       EXPECT_EQ(gather.key().variant, KernelVariant::SimdGather);
       got.fill(200);
-      gather(src.view(), got.view(), rect, &scratch);
+      gather(src.view(), got.view(), rect);
       expect_same(want, "simd-gather entry", border);
     }
 
@@ -649,7 +649,7 @@ TEST(Datapath, DescribeNamesKernelAndIsa) {
   const auto backend = BackendRegistry::create("simd:threads=1");
   const ExecutionPlan plan = backend->plan(f.ctx());
   const std::string d = plan.describe();
-  EXPECT_NE(d.find("simd:threads=1"), std::string::npos) << d;
+  EXPECT_NE(d.find("cpu:threads=1,datapath=soa"), std::string::npos) << d;
   EXPECT_NE(d.find("float-lut"), std::string::npos) << d;
   EXPECT_NE(d.find(variant_name(plan.kernel().key().variant)),
             std::string::npos)

@@ -1,8 +1,8 @@
 // The tentpole guarantee of the plan/execute split: once a plan is built
 // and warmed up, steady-state execute() performs ZERO heap allocations on
 // every CPU backend — the Workspace arena (tiles, steal order/runs,
-// resplit buffers, SoA scratch) and the instrumentation slots are all
-// sized at plan time or during the first frames.
+// resplit buffers) and the instrumentation slots are all sized at plan
+// time or during the first frames.
 //
 // The hook is a counting global operator new: warm the plan for a few
 // frames (lazy pool spin-up, vector capacity growth, libgomp internals),
@@ -188,6 +188,11 @@ TEST(PlanAllocations, PoolGuidedIsAllocationFree) {
 
 TEST(PlanAllocations, PoolStealIsAllocationFree) {
   expect_zero_steady_state_allocs("pool:steal,tiles,tile=32x16,threads=2");
+}
+
+TEST(PlanAllocations, CpuStealTilesGatherIsAllocationFree) {
+  expect_zero_steady_state_allocs(
+      "cpu:threads=2,schedule=steal,tiles,tile=32x16,datapath=gather");
 }
 
 TEST(PlanAllocations, SimdSingleLaneIsAllocationFree) {

@@ -120,7 +120,7 @@ TEST(YuvCorrector, WorksWithPoolBackend) {
   core::SerialBackend serial;
   const img::Yuv420 ref = ycorr.correct_frame(yuv, serial);
   par::ThreadPool pool(4);
-  core::PoolBackend pooled(pool);
+  core::CpuBackend pooled(pool);
   const img::Yuv420 out = ycorr.correct_frame(yuv, pooled);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.y.view(), out.y.view()));
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.u.view(), out.u.view()));
