@@ -60,9 +60,8 @@ int main(int argc, char** argv) {
     const double f_pool = fps("pool:dynamic,rows");
     const double f_simd1 = fps("simd:threads=1");
     const double f_simdp = fps("simd");
-    const double f_omp = core::BackendRegistry::instance().has("openmp")
-                             ? fps("openmp")
-                             : 0.0;
+    // The openmp alias: one row block per hardware thread, static.
+    const double f_omp = fps("openmp");
 
     // Accelerator simulators: one corrected frame drives the cycle model.
     img::Image8 out(res.width, res.height, 1);

@@ -61,9 +61,13 @@ int main(int argc, char** argv) try {
     const rt::Stopwatch sw;
     // All views of one frame in parallel: the natural decomposition when
     // several operators watch one camera.
-    par::parallel_for_each(pool, maps.size(), [&](std::size_t v) {
-      core::remap_rect(frame.view(), views[v].view(), maps[v],
-                       {0, 0, vw, vh}, opts);
+    par::ChunkCursor next_view(maps.size(), pool.size(),
+                               par::Schedule::Dynamic);
+    pool.run([&](unsigned) {
+      next_view.drain([&](std::size_t v) {
+        core::remap_rect(frame.view(), views[v].view(), maps[v],
+                         {0, 0, vw, vh}, opts);
+      });
     });
     total_s += sw.elapsed_seconds();
     if (f == 0) {

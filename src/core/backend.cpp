@@ -1,6 +1,7 @@
 #include "core/backend.hpp"
 
 #include <cstdint>
+#include <exception>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -16,39 +17,7 @@
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace fisheye::core {
-
-namespace {
-
-/// Stamp the plan-time analytic traffic estimate into a plan's frame slots
-/// (CPU backends; the simulators overwrite with modeled DMA/DDR counts).
-void record_bytes(const ExecutionPlan& plan) {
-  PlanInstrumentation& inst = plan.instrumentation();
-  const Workspace& ws = plan.workspace();
-  inst.bytes_in = ws.bytes_in_estimate;
-  inst.bytes_out = ws.bytes_out_estimate;
-  inst.modeled = false;
-}
-
-/// Fill a plan workspace's steal-schedule slots for a team of `workers`.
-/// The workspace's tile vector is already stored in Morton order of the
-/// tiles' source-bbox centroids, so `steal_order` is the identity
-/// permutation over it; `steal_runs` are the per-worker initial deque
-/// runs, balanced by tile area (see par::balanced_runs).
-void init_steal_state(Workspace& ws, unsigned workers) {
-  ws.steal_order.resize(ws.tiles.size());
-  std::iota(ws.steal_order.begin(), ws.steal_order.end(), 0u);
-  par::balanced_runs_into(ws.steal_runs, ws.tiles.size(), workers,
-                          [&](std::size_t i) {
-                            return static_cast<double>(ws.tiles[i].area());
-                          });
-}
-
-}  // namespace
 
 std::string MapChoice::spec_text() const {
   if (!set()) return {};
@@ -372,7 +341,17 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
   ExecutionPlan p =
       make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
                 t.datapath.value_or(options_.datapath), t.strip);
-  if (steal) init_steal_state(p.workspace(), threads());
+  if (steal) {
+    // The tiles are stored in steal order, so the order is the identity;
+    // each lane's initial run is balanced by tile area.
+    Workspace& ws = p.workspace();
+    ws.steal_order.resize(ws.tiles.size());
+    std::iota(ws.steal_order.begin(), ws.steal_order.end(), 0u);
+    ws.steal_runs = par::balanced_runs(
+        ws.tiles.size(), threads(), [&](std::size_t i) {
+          return static_cast<double>(ws.tiles[i].area());
+        });
+  }
   return p;
 }
 
@@ -433,159 +412,52 @@ void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
   check_plan(plan, ctx);
   const ResolvedKernel& kernel = plan.kernel();
   const std::vector<par::Rect>& tiles = plan.tiles();
+  const std::size_t n = tiles.size();
   PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(tiles.size());
+  inst.begin_frame(n);
   const auto run_tile = [&](std::size_t i) {
     const rt::Stopwatch sw;
     kernel(ctx.src, ctx.dst, tiles[i]);
     inst.tile_seconds[i] = sw.elapsed_seconds();
   };
+  const unsigned lanes = threads();
   if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < tiles.size(); ++i) run_tile(i);
+    for (std::size_t i = 0; i < n; ++i) run_tile(i);
+  } else if (options_.schedule == par::Schedule::Static) {
+    pool_->run([&](unsigned lane) {
+      const auto [b, e] = par::static_block(n, lanes, lane);
+      for (std::size_t i = b; i < e; ++i) run_tile(i);
+    });
   } else if (options_.schedule == par::Schedule::Steal) {
     const Workspace& ws = plan.workspace();
-    if (!steal_) steal_ = std::make_unique<par::WorkStealingPool>(*pool_);
-    par::detail::ErrorSlot errors;
-    const par::StealStats ss = steal_->run_ordered(
-        ws.steal_order.data(), ws.steal_order.size(), ws.steal_runs,
-        [&](std::size_t i) {
-          try {
-            run_tile(i);
-          } catch (...) {
-            errors.capture();
-          }
-        });
-    inst.local_tiles = ss.local;
-    inst.stolen_tiles = ss.stolen;
-    inst.steals = ss.steals;
-    errors.rethrow_if_set();
-  } else {
-    par::parallel_for_each(*pool_, tiles.size(), run_tile,
-                           {options_.schedule, 1});
-  }
-  record_bytes(plan);
-}
-
-#ifdef _OPENMP
-std::string OpenMpBackend::name() const {
-  std::ostringstream os;
-  os << "openmp";
-  char sep = ':';
-  if (threads_ > 0) {
-    os << sep << "threads=" << threads_;
-    sep = ',';
-  }
-  if (schedule_ != par::Schedule::Static)
-    os << sep << "schedule=" << par::schedule_name(schedule_);
-  return decorate_spec(os.str());
-}
-
-ExecutionPlan OpenMpBackend::plan(const ExecContext& ctx) {
-  std::shared_ptr<const ConvertedMap> converted;
-  const ExecContext ectx = resolve_map(ctx, converted);
-  const int threads = threads_ > 0 ? threads_ : omp_get_max_threads();
-  std::vector<par::Rect> tiles;
-  switch (schedule_) {
-    case par::Schedule::Static:
-      // One contiguous row block per thread, mirroring schedule(static)
-      // over rows; planned once instead of re-derived by the OpenMP
-      // runtime.
-      tiles = par::partition(ctx.dst.width, ctx.dst.height,
-                             par::PartitionKind::RowBlocks, threads);
-      break;
-    case par::Schedule::Dynamic:
-    case par::Schedule::Guided:
-      // Finer row blocks so the OpenMP runtime has slack to balance with.
-      tiles = par::partition(ctx.dst.width, ctx.dst.height,
-                             par::PartitionKind::RowBlocks, threads * 4);
-      break;
-    case par::Schedule::Steal:
-      // Square tiles in source-locality order, split into the team's
-      // initial deque runs — same planning as PoolBackend's steal path.
-      tiles = order_tiles_by_source_locality(
-          ectx, par::partition(ctx.dst.width, ctx.dst.height,
-                               par::PartitionKind::Tiles, 0, 64, 64));
-      break;
-  }
-  ExecutionPlan p =
-      make_plan(ctx, std::move(tiles), nullptr, std::move(converted));
-  if (schedule_ == par::Schedule::Steal)
-    init_steal_state(p.workspace(), static_cast<unsigned>(threads));
-  return p;
-}
-
-void OpenMpBackend::execute(const ExecutionPlan& plan,
-                            const ExecContext& ctx) {
-  check_plan(plan, ctx);
-  const ResolvedKernel& kernel = plan.kernel();
-  PlanInstrumentation& inst = plan.instrumentation();
-  inst.begin_frame(plan.tiles().size());
-  const int threads = threads_ > 0 ? threads_ : omp_get_max_threads();
-  const int n = static_cast<int>(plan.tiles().size());
-  if (schedule_ == par::Schedule::Steal) {
-    Workspace& ws = plan.workspace();
-    const unsigned team = static_cast<unsigned>(threads);
-    if (!steal_ || steal_->workers() != team)
-      steal_ = std::make_unique<par::StealScheduler>(team);
-    // Runs were planned for `team` workers; if the OpenMP max-thread count
-    // moved under a threads-unspecified spec since planning, resplit into
-    // the workspace's reusable slot.
-    const std::vector<std::size_t>* runs = &ws.steal_runs;
-    if (ws.steal_runs.size() != static_cast<std::size_t>(team) + 1) {
-      par::balanced_runs_into(ws.resplit_runs, plan.tiles().size(), team,
-                              [&](std::size_t i) {
-                                return static_cast<double>(
-                                    plan.tiles()[i].area());
-                              });
-      runs = &ws.resplit_runs;
-    }
-    steal_->begin_frame(ws.steal_order.data(), ws.steal_order.size(), *runs);
-    par::detail::ErrorSlot errors;
-#pragma omp parallel num_threads(threads)
-    {
-      steal_->work(static_cast<unsigned>(omp_get_thread_num()),
-                   [&](std::size_t i) {
-                     try {
-                       const rt::Stopwatch sw;
-                       kernel(ctx.src, ctx.dst, plan.tiles()[i]);
-                       inst.tile_seconds[i] = sw.elapsed_seconds();
-                     } catch (...) {
-                       errors.capture();
-                     }
-                   });
-    }
+    if (!steal_) steal_ = std::make_unique<par::StealScheduler>(lanes);
+    steal_->begin_frame(ws.steal_order.data(), n, ws.steal_runs);
+    pool_->run([&](unsigned lane) {
+      // A tile that throws must still count as run, or the other lanes
+      // would wait for it: hold the lane's first error until its loop ends.
+      std::exception_ptr error;
+      steal_->work(lane, [&](std::size_t i) {
+        try {
+          run_tile(i);
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
+      });
+      if (error) std::rethrow_exception(error);
+    });
     const par::StealStats ss = steal_->stats();
     inst.local_tiles = ss.local;
     inst.stolen_tiles = ss.stolen;
     inst.steals = ss.steals;
-    record_bytes(plan);
-    errors.rethrow_if_set();
-    return;
+  } else {
+    par::ChunkCursor cursor(n, lanes, options_.schedule);
+    pool_->run([&](unsigned) { cursor.drain(run_tile); });
   }
-  const auto run_tile = [&](int i) {
-    const rt::Stopwatch sw;
-    kernel(ctx.src, ctx.dst, plan.tiles()[static_cast<std::size_t>(i)]);
-    inst.tile_seconds[static_cast<std::size_t>(i)] = sw.elapsed_seconds();
-  };
-  switch (schedule_) {
-    case par::Schedule::Dynamic: {
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-      for (int i = 0; i < n; ++i) run_tile(i);
-      break;
-    }
-    case par::Schedule::Guided: {
-#pragma omp parallel for schedule(guided) num_threads(threads)
-      for (int i = 0; i < n; ++i) run_tile(i);
-      break;
-    }
-    default: {
-#pragma omp parallel for schedule(static) num_threads(threads)
-      for (int i = 0; i < n; ++i) run_tile(i);
-      break;
-    }
-  }
-  record_bytes(plan);
+  // The plan-time analytic traffic estimate (the simulators report
+  // modeled counts instead).
+  inst.bytes_in = plan.workspace().bytes_in_estimate;
+  inst.bytes_out = plan.workspace().bytes_out_estimate;
+  inst.modeled = false;
 }
-#endif
 
 }  // namespace fisheye::core

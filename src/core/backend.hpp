@@ -22,7 +22,6 @@
 #include "core/mapping.hpp"
 #include "core/projection.hpp"
 #include "core/remap.hpp"
-#include "parallel/parallel_for.hpp"
 #include "parallel/partition.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
@@ -237,15 +236,17 @@ struct CpuOptions {
 
 /// The study's multicore execution as one loop: the frame is partitioned
 /// once at plan time, every tile runs the plan's resolved kernel, and the
-/// tiles are scheduled across a thread pool — or run on the caller at one
-/// thread. The registry kinds `serial`, `pool` and `simd` build this class
+/// tiles are scheduled across the lanes of a thread pool — or run on the
+/// caller at one thread. Static gives lane i its fixed block of tiles;
+/// dynamic and guided lanes claim tiles from one shared cursor. The
+/// registry kinds `serial`, `pool`, `simd` and `openmp` build this class
 /// and canonicalize to a `cpu:` spec.
 ///
 /// schedule=steal additionally reorders the partition at plan time by
 /// Morton code of each tile's *source* bounding-box centroid and
-/// pre-assigns contiguous runs of that order to the workers as initial
+/// pre-assigns contiguous runs of that order to the lanes as initial
 /// deque contents (core/tile_order.hpp, parallel/work_stealing.hpp):
-/// workers walk source-adjacent tiles and steal only to repair imbalance.
+/// lanes walk source-adjacent tiles and steal only to repair imbalance.
 class CpuBackend final : public Backend {
  public:
   /// One thread (the default) runs tiles on the caller; more own a private
@@ -275,40 +276,12 @@ class CpuBackend final : public Backend {
   std::unique_ptr<par::ThreadPool> owned_pool_;
   /// Null at one thread.
   par::ThreadPool* pool_ = nullptr;
-  /// Steal-schedule executor over pool_; created on the first steal frame
-  /// and reused every frame (persistent per-worker deques).
-  std::unique_ptr<par::WorkStealingPool> steal_;
+  /// Steal-schedule deques, one per lane; created on the first steal frame
+  /// and reused every frame.
+  std::unique_ptr<par::StealScheduler> steal_;
 };
 
 /// The default one-thread CpuBackend: one whole-frame tile, scalar kernel.
 using SerialBackend = CpuBackend;
-
-#ifdef _OPENMP
-/// OpenMP parallel-for over row blocks; the study's original multicore
-/// implementation style. Only built when the toolchain provides OpenMP.
-///
-/// schedule= selects the OpenMP loop schedule over the planned row blocks
-/// (static, dynamic, guided); schedule=steal instead plans a Morton-ordered
-/// tile partition (core/tile_order.hpp) and drives par::StealScheduler from
-/// an `omp parallel` team — same deques and counters as CpuBackend, OpenMP
-/// threads as the lanes.
-class OpenMpBackend final : public Backend {
- public:
-  explicit OpenMpBackend(int threads = 0,
-                         par::Schedule schedule = par::Schedule::Static)
-      : threads_(threads), schedule_(schedule) {}
-
-  using Backend::execute;
-  [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
-  void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  int threads_;
-  par::Schedule schedule_;
-  /// Deques for schedule=steal; sized to the team on first steal frame.
-  std::unique_ptr<par::StealScheduler> steal_;
-};
-#endif
 
 }  // namespace fisheye::core

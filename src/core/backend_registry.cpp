@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 
 namespace fisheye::core {
@@ -322,12 +323,52 @@ std::unique_ptr<Backend> make_simd(BackendSpec& spec) {
       kSimdOptions);
 }
 
+constexpr const char* kOpenMpOptions =
+    "threads=N, schedule=static|dynamic|guided|steal, "
+    "map=float|packed|compact:<stride>";
+
+/// `openmp`: the tiles the study's OpenMP loops ran, planned as a cpu spec
+/// with `threads` lanes (0, the default, = the hardware thread count):
+/// static is one row block per lane, dynamic and guided take the 4 x
+/// threads row blocks from the shared cursor, steal runs 64x64 tiles.
+std::unique_ptr<Backend> make_openmp(BackendSpec& spec) {
+  int threads = threads_option(spec, 0);
+  if (threads == 0)
+    threads = static_cast<int>(util::cpu_info().hardware_threads);
+  CpuOptions o;
+  o.schedule = schedule_option(spec, o.schedule);
+  switch (o.schedule) {
+    case par::Schedule::Static:
+      o.partition = par::PartitionKind::RowBlocks;
+      o.chunks = threads;
+      break;
+    case par::Schedule::Dynamic:
+    case par::Schedule::Guided:
+      o.schedule = par::Schedule::Dynamic;
+      // One thread plans a whole-frame tile unless row blocks are named.
+      if (threads == 1) {
+        o.partition = par::PartitionKind::RowBlocks;
+        o.chunks = 4;
+      }
+      break;
+    case par::Schedule::Steal:
+      o.partition = par::PartitionKind::Tiles;
+      break;
+  }
+  auto backend =
+      std::make_unique<CpuBackend>(o, static_cast<unsigned>(threads));
+  apply_map_option(spec, *backend);
+  spec.finish(kOpenMpOptions);
+  return backend;
+}
+
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
   // Core CPU kinds are registered here rather than via static objects so
-  // they exist the moment anyone reaches the registry. `serial`, `pool`
-  // and `simd` are aliases: each builds a CpuBackend named by a cpu: spec.
+  // they exist the moment anyone reaches the registry. `serial`, `pool`,
+  // `simd` and `openmp` are aliases: each builds a CpuBackend named by a
+  // cpu: spec.
   add("cpu", kCpuOptions, make_cpu);
   add("serial", "cpu alias, one thread; map=float|packed|compact:<stride>",
       [](BackendSpec& spec) -> std::unique_ptr<Backend> {
@@ -338,21 +379,7 @@ BackendRegistry::BackendRegistry() {
       });
   add("pool", std::string("cpu alias; ") + kPoolOptions, make_pool);
   add("simd", std::string("cpu alias; ") + kSimdOptions, make_simd);
-#ifdef _OPENMP
-  add("openmp",
-      "threads=N, schedule=static|dynamic|guided|steal, "
-      "map=float|packed|compact:<stride>",
-      [](BackendSpec& spec) -> std::unique_ptr<Backend> {
-        const int threads = threads_option(spec, 0);
-        const par::Schedule schedule =
-            schedule_option(spec, par::Schedule::Static);
-        auto backend = std::make_unique<OpenMpBackend>(threads, schedule);
-        apply_map_option(spec, *backend);
-        spec.finish("threads=N, schedule=static|dynamic|guided|steal, "
-                    "map=float|packed|compact:<stride>");
-        return backend;
-      });
-#endif
+  add("openmp", std::string("cpu alias; ") + kOpenMpOptions, make_openmp);
 }
 
 BackendRegistry& BackendRegistry::instance() {

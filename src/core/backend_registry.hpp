@@ -4,11 +4,11 @@
 // flag (`dbuf`) or `key=value` (`threads=4`, `tile=128x32`). Examples:
 //
 //   cpu:threads=4,schedule=steal,tiles,datapath=gather
-//   serial                      (aliases of cpu: serial, pool, simd)
-//   pool:dynamic,rows=16,threads=8
+//   serial                      (aliases of cpu: serial, pool, simd,
+//   pool:dynamic,rows=16,threads=8          openmp)
 //   pool:guided,tiles,tile=128x64
 //   simd:threads=4
-//   openmp                      (when built with OpenMP)
+//   openmp:threads=4,schedule=dynamic
 //   cell:spes=4,sbuf            (linking fisheye_accel)
 //   gpu:sms=16,clock=1.5
 //   fpga:clock=100,cache=32x8x8x1

@@ -17,8 +17,8 @@
 //  * a ResolvedKernel — the tile compute function, looked up in the kernel
 //    catalogue (core/kernel.hpp) once at plan time;
 //  * a Workspace arena — the tile vector plus every steady-state scratch
-//    buffer (steal order/runs, resplit runs), sized at plan time so
-//    execute() performs no heap allocation;
+//    buffer (steal order and runs), sized at plan time so execute()
+//    performs no heap allocation;
 //  * per-tile instrumentation slots: every backend — the CPU backends and
 //    the accelerator simulators — fills one seconds slot per tile each
 //    frame (wall-clock on CPU, cycle-model on the simulators) plus byte
@@ -167,9 +167,6 @@ struct Workspace {
   /// initial deque runs (see par::balanced_runs).
   std::vector<std::uint32_t> steal_order;
   std::vector<std::size_t> steal_runs;
-  /// Re-balanced runs for frames whose worker count differs from the
-  /// planned one (OpenMP teams can move); reused across frames.
-  std::vector<std::size_t> resplit_runs;
   /// Analytic per-frame traffic, computed once at plan time.
   std::size_t bytes_in_estimate = 0;
   std::size_t bytes_out_estimate = 0;

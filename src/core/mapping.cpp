@@ -162,7 +162,7 @@ namespace {
 // saturation range. Positions up to one stride past the image edge are
 // linearly extrapolated from the last in-range sample and its neighbour,
 // so the trailing grid line continues the warp instead of flattening it.
-double sample_extrapolated(const WarpMap& map, const std::vector<float>& v,
+double sample_extrapolated(const WarpMap& map, const WarpMap::Plane& v,
                            int px, int py) {
   const auto clamped = [](double x) {
     return util::clamp(x, -CompactMap::kCoordLimitPx,

@@ -25,6 +25,7 @@
 #include "core/camera.hpp"
 #include "core/projection.hpp"
 #include "parallel/partition.hpp"
+#include "util/aligned.hpp"
 
 namespace fisheye::core {
 
@@ -41,10 +42,14 @@ std::uint64_t next_map_generation() noexcept;
 /// output pixel (x, y); entries may lie outside the source image — border
 /// policy is applied at remap time.
 struct WarpMap {
+  /// Plane storage: a 1080p plane (7.9 MiB) is mapped from the kernel and
+  /// unmapped on free (see util/aligned.hpp).
+  using Plane = std::vector<float, util::LargeAllocator<float>>;
+
   int width = 0;
   int height = 0;
-  std::vector<float> src_x;  ///< width*height, row-major
-  std::vector<float> src_y;
+  Plane src_x;  ///< width*height, row-major
+  Plane src_y;
   /// Identity stamp for plan caches; fresh per constructed map, carried
   /// along by copies/moves (a copy is the same logical map).
   std::uint64_t generation = detail::next_map_generation();

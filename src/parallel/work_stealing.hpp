@@ -22,20 +22,16 @@
 //                      minimum batch, so thieves never thrash over the
 //                      last few tiles of a nearly-drained run.
 //  * StealScheduler  — a set of cache-line-padded worker blocks plus the
-//                      stealing run loop; thread-agnostic, so it can be
-//                      driven by ThreadPool lanes or by an OpenMP team.
+//                      stealing run loop; thread-agnostic: the CPU backend
+//                      runs work(lane) on each lane of a ThreadPool frame.
 //  * StreamScheduler — the hybrid frame×tile generalization: S stream
 //                      slots instead of W worker deques. Each slot holds
 //                      one in-flight frame (a locality-ordered tile run);
 //                      a worker claims the oldest unowned frame and walks
 //                      its run in order (owner-LIFO within a stream), and
 //                      idle workers steal tile batches across streams.
-//  * WorkStealingPool— StealScheduler bound to a ThreadPool: per-frame
-//                      dispatch with zero per-frame allocation after the
-//                      first frame (blocks and queues are reused). Grows a
-//                      service mode that dedicates pool lanes to a
-//                      StreamScheduler (the multi-stream executor); several
-//                      services can split one pool's lanes between them.
+//                      stream::StreamExecutor runs its workers on threads
+//                      of their own.
 //
 // Queues are mutex-protected: a steal is O(half the queue) under the lock
 // and owner pops are uncontended in the common case. Victim selection reads
@@ -51,12 +47,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 
@@ -141,11 +135,6 @@ class StealQueue {
     return take;
   }
 
-  [[nodiscard]] std::size_t size() const {
-    const std::scoped_lock lock(mu_);
-    return items_.size();
-  }
-
   /// Lock-free size mirror for victim scans. May be momentarily stale;
   /// steal_half re-validates under the lock.
   [[nodiscard]] std::size_t approx_size() const noexcept {
@@ -153,7 +142,7 @@ class StealQueue {
   }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<std::uint32_t> items_;
   std::atomic<std::size_t> size_{0};
 };
@@ -168,14 +157,10 @@ class StealScheduler {
     FE_EXPECTS(workers >= 1);
   }
 
-  [[nodiscard]] unsigned workers() const noexcept {
-    return static_cast<unsigned>(blocks_.size());
-  }
-
   /// Load a frame: `order` is a permutation of [0, n) (the locality-ordered
   /// tile sequence) and `runs` the initial split — worker w starts with
-  /// order[runs[w]..runs[w+1]). `runs` must have workers()+1 entries with
-  /// runs[0] == 0 and runs.back() == n.
+  /// order[runs[w]..runs[w+1]). `runs` must have one entry more than the
+  /// scheduler has workers, with runs[0] == 0 and runs.back() == n.
   void begin_frame(const std::uint32_t* order, std::size_t n,
                    const std::vector<std::size_t>& runs) {
     FE_EXPECTS(runs.size() == blocks_.size() + 1);
@@ -198,8 +183,9 @@ class StealScheduler {
   }
 
   /// Worker `w`'s frame loop: drain the own queue, then steal until every
-  /// tile of the frame has been claimed. `fn(index)` must not throw (wrap
-  /// with an error slot at the call site, as parallel_for does).
+  /// tile of the frame has been claimed. `fn(index)` must not throw: a
+  /// tile that throws would never be counted, and the other workers would
+  /// wait for it forever (catch at the call site, as CpuBackend does).
   template <class Fn>
   void work(unsigned w, Fn&& fn) {
     Block& self = blocks_[w];
@@ -381,9 +367,8 @@ class StreamScheduler {
     cv_.notify_all();
   }
 
-  /// Worker `w`'s service loop: claim-or-steal until stop(). Runs forever
-  /// on a ThreadPool lane (WorkStealingPool::start_service) or a dedicated
-  /// thread.
+  /// Worker `w`'s service loop: claim-or-steal until stop(). Runs on a
+  /// dedicated thread.
   void run_worker(unsigned w) {
     FE_EXPECTS(w < workers_);
     for (;;) {
@@ -607,115 +592,15 @@ class StreamScheduler {
   bool stop_ = false;               ///< guarded by mu_
 };
 
-/// StealScheduler driven by ThreadPool lanes: the pooled backends' steal
-/// schedule. Construction is cheap (no threads of its own); per-frame
-/// dispatch reuses the persistent worker blocks.
-///
-/// Also the binding point for hybrid frame×tile service: start_service()
-/// dedicates `streams.workers()` pool lanes to a StreamScheduler until
-/// stop_service() — the substrate of stream::StreamExecutor. A scheduler
-/// sized below the pool leaves lanes for other services (one scheduler per
-/// WorkStealingPool instance; stack several instances on one ThreadPool to
-/// host several schedulers). run_ordered() on an instance that is serving
-/// is still mutually exclusive with its service.
-class WorkStealingPool {
- public:
-  explicit WorkStealingPool(ThreadPool& pool)
-      : pool_(pool), scheduler_(pool.size()) {}
-
-  [[nodiscard]] unsigned size() const noexcept { return pool_.size(); }
-
-  /// Run fn(i) exactly once for every i in [0, n), visiting indices in the
-  /// order of the permutation `order` with initial runs `runs` (see
-  /// StealScheduler::begin_frame). Blocks until the frame is done; returns
-  /// the frame's steal counters.
-  template <class Fn>
-  StealStats run_ordered(const std::uint32_t* order, std::size_t n,
-                         const std::vector<std::size_t>& runs, Fn&& fn) {
-    FE_EXPECTS(serving_ == nullptr);
-    if (n == 0) return {};
-    scheduler_.begin_frame(order, n, runs);
-    pool_.run_indexed(scheduler_.workers(),
-                      [&](std::size_t lane) {
-                        scheduler_.work(static_cast<unsigned>(lane), fn);
-                      });
-    return scheduler_.stats();
-  }
-
-  /// Dedicate `streams.workers()` pool lanes to `streams` until
-  /// stop_service(). The scheduler may be sized below the pool
-  /// (streams.workers() <= size()): the remaining lanes stay free for
-  /// run_indexed work or for other services — the lane sum of all
-  /// concurrent services on one ThreadPool must stay within its size, or
-  /// the excess lane tasks would queue behind the running services and
-  /// their scheduler would never reach full strength.
-  void start_service(StreamScheduler& streams) {
-    FE_EXPECTS(serving_ == nullptr);
-    FE_EXPECTS(streams.workers() <= pool_.size());
-    serving_ = &streams;
-    join_ = std::make_shared<ServiceJoin>();
-    join_->pending.store(streams.workers(), std::memory_order_relaxed);
-    for (unsigned w = 0; w < streams.workers(); ++w)
-      pool_.submit([scheduler = serving_, join = join_, w] {
-        scheduler->run_worker(w);
-        join->lane_done();
-      });
-  }
-
-  /// Stop the served scheduler and wait for ITS lanes to exit — not the
-  /// whole pool, so services sharing the pool keep running. In-flight
-  /// frames complete first (stop is honoured at the idle point).
-  void stop_service() {
-    if (serving_ == nullptr) return;
-    serving_->stop();
-    join_->wait();
-    join_.reset();
-    serving_ = nullptr;
-  }
-
-  [[nodiscard]] bool serving() const noexcept { return serving_ != nullptr; }
-
- private:
-  /// Completion latch for one service's lanes. stop_service() must wait
-  /// for exactly the lanes it submitted; ThreadPool::wait_idle() would
-  /// block on every OTHER service sharing the pool. shared_ptr-held so a
-  /// lane exiting after stop_service() returned (impossible today, cheap
-  /// to make impossible forever) never touches a dead latch.
-  struct ServiceJoin {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::atomic<unsigned> pending{0};
-    void lane_done() {
-      if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const std::scoped_lock lock(mu);
-        cv.notify_all();
-      }
-    }
-    void wait() {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] {
-        return pending.load(std::memory_order_acquire) == 0;
-      });
-    }
-  };
-
-  ThreadPool& pool_;
-  StealScheduler scheduler_;
-  StreamScheduler* serving_ = nullptr;
-  std::shared_ptr<ServiceJoin> join_;
-};
-
-/// Split the (already ordered) tile sequence into workers() contiguous
-/// initial runs of near-equal total weight, writing the runs offsets
-/// (workers + 1 entries) into `runs`. `weight(i)` is the balance proxy for
-/// item i — tile area for the pooled backends. Writing into a caller-owned
-/// vector lets steady-state resplits reuse its capacity (no allocation
-/// after the first frame).
+/// Split the (already ordered) tile sequence into `workers` contiguous
+/// initial runs of near-equal total weight and return the run offsets
+/// (workers + 1 entries). `weight(i)` is the balance proxy for item i —
+/// tile area for the CPU backend's steal schedule.
 template <class WeightFn>
-void balanced_runs_into(std::vector<std::size_t>& runs, std::size_t n,
-                        unsigned workers, WeightFn&& weight) {
+std::vector<std::size_t> balanced_runs(std::size_t n, unsigned workers,
+                                       WeightFn&& weight) {
   FE_EXPECTS(workers >= 1);
-  runs.assign(workers + 1, n);
+  std::vector<std::size_t> runs(workers + 1, n);
   runs[0] = 0;
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) total += weight(i);
@@ -731,14 +616,6 @@ void balanced_runs_into(std::vector<std::size_t>& runs, std::size_t n,
     }
   }
   for (; w < workers; ++w) runs[w] = std::max(runs[w - 1], runs[w]);
-}
-
-/// Convenience form returning a fresh runs vector.
-template <class WeightFn>
-std::vector<std::size_t> balanced_runs(std::size_t n, unsigned workers,
-                                       WeightFn&& weight) {
-  std::vector<std::size_t> runs;
-  balanced_runs_into(runs, n, workers, std::forward<WeightFn>(weight));
   return runs;
 }
 

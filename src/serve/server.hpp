@@ -120,9 +120,9 @@ class Server {
   using RetireFn = std::function<void(std::uint64_t seq, std::uint64_t tag,
                                       double latency_seconds)>;
 
-  /// `pool` is fully dedicated to this server's stream executor for the
-  /// server's lifetime (WorkStealingPool::start_service semantics): one
-  /// live Server (or StreamExecutor) per pool.
+  /// The server's stream executor takes every lane of `pool` for the
+  /// server's lifetime, each on a dedicated thread: one live Server (or
+  /// StreamExecutor on every lane) per pool.
   Server(ServerConfig config, ServeOptions options, par::ThreadPool& pool);
   ~Server();
 

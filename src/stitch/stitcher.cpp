@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "core/interp.hpp"
-#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 #include "util/matrix.hpp"
@@ -160,13 +160,16 @@ img::Image8 PanoramaStitcher::stitch_impl(
   if (pool == nullptr) {
     stitch_rows(frames, out.view(), 0, out_height_, gains);
   } else {
-    par::parallel_for(
-        *pool, static_cast<std::size_t>(out_height_),
-        [&](std::size_t b, std::size_t e) {
-          stitch_rows(frames, out.view(), static_cast<int>(b),
-                      static_cast<int>(e), gains);
-        },
-        {par::Schedule::Dynamic, 16});
+    // Row chunks of 16 from a shared cursor: blend cost varies with how
+    // many cameras overlap a row.
+    par::ChunkCursor rows(static_cast<std::size_t>(out_height_), pool->size(),
+                          par::Schedule::Dynamic, 16);
+    pool->run([&](unsigned) {
+      std::size_t b = 0, e = 0;
+      while (rows.next(b, e))
+        stitch_rows(frames, out.view(), static_cast<int>(b),
+                    static_cast<int>(e), gains);
+    });
   }
   return out;
 }

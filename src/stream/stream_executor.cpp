@@ -56,20 +56,30 @@ struct StreamExecutor::Stream {
 StreamExecutor::StreamExecutor(par::ThreadPool& pool,
                                StreamExecutorOptions options)
     : options_(options),
-      pool_(pool),
       scheduler_(options.lanes == 0 ? pool.size() : options.lanes,
-                 options.max_streams, options.steal),
-      service_(pool) {
+                 options.max_streams, options.steal) {
   FE_EXPECTS(options_.max_streams >= 1);
   FE_EXPECTS(options_.queue_depth >= 1);
   FE_EXPECTS(options_.lanes <= pool.size());
   streams_.resize(options_.max_streams);
-  service_.start_service(scheduler_);
+  service_.reserve(scheduler_.workers());
+  try {
+    for (unsigned w = 0; w < scheduler_.workers(); ++w)
+      service_.emplace_back([this, w] { scheduler_.run_worker(w); });
+  } catch (...) {
+    stop_service_();
+    throw;
+  }
 }
 
 StreamExecutor::~StreamExecutor() {
   wait_all_idle_();
-  service_.stop_service();
+  stop_service_();
+}
+
+void StreamExecutor::stop_service_() noexcept {
+  scheduler_.stop();  // in-flight frames complete first
+  for (std::thread& t : service_) t.join();
 }
 
 StreamId StreamExecutor::add_stream(const core::Corrector& corrector,

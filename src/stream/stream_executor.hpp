@@ -8,7 +8,7 @@
 // it whenever a small frame can't fill the lanes. The StreamExecutor is
 // the hybrid: every stream keeps its own ExecutionPlan (tile order,
 // workspace arena, instrumentation — its cache-warm state), and ALL
-// streams share one WorkStealingPool through a par::StreamScheduler —
+// streams share one set of lanes through a par::StreamScheduler —
 // frames are claimed FIFO across streams (fairness), a frame's tiles run
 // owner-LIFO in source-locality order (cache), and idle workers steal tile
 // batches across streams (utilization).
@@ -34,9 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
+#include <thread>
 #include <vector>
 
 #include "core/corrector.hpp"
+#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/timer.hpp"
@@ -78,10 +80,10 @@ struct StreamExecutorOptions {
 /// remove must not race each other (a stream has one producer).
 class StreamExecutor {
  public:
-  /// Dedicates `options.lanes` lanes of `pool` (default: every lane) to
-  /// stream service until destruction. With the default, the pool cannot
-  /// run other work while the executor lives; with fewer lanes, the rest
-  /// of the pool stays available for other executors or ordinary work.
+  /// Serves streams on `options.lanes` lanes of `pool` (default: every
+  /// lane) until destruction, one dedicated thread per lane, so the pool's
+  /// own frames keep their workers; with fewer lanes, other executors take
+  /// the rest.
   explicit StreamExecutor(par::ThreadPool& pool,
                           StreamExecutorOptions options = {});
   ~StreamExecutor();
@@ -169,11 +171,10 @@ class StreamExecutor {
   void activate_locked_(Stream& s, const PendingFrame& frame);
   [[nodiscard]] Stream& stream_ref_(StreamId id) const;
   void wait_all_idle_() noexcept;
+  void stop_service_() noexcept;
 
   StreamExecutorOptions options_;
-  par::ThreadPool& pool_;
   par::StreamScheduler scheduler_;
-  par::WorkStealingPool service_;
   rt::Stopwatch epoch_;  ///< all stream timestamps are seconds since this
   /// First kernel exception, rethrown by drain().
   std::mutex error_mu_;
@@ -183,6 +184,9 @@ class StreamExecutor {
   /// add/remove; readers access their own (handed-off) entry lock-free.
   mutable std::mutex registry_mu_;
   std::vector<std::unique_ptr<Stream>> streams_;
+  /// One service thread per scheduler worker; declared last, after
+  /// everything the workers touch.
+  std::vector<std::thread> service_;
 };
 
 }  // namespace fisheye::stream

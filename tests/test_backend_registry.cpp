@@ -83,8 +83,8 @@ TEST(BackendRegistry, SpecStringsRoundTripThroughName) {
 }
 
 TEST(BackendRegistry, AliasesCanonicalizeToCpuSpecs) {
-  // serial, pool and simd build the one CpuBackend: each spec names a cpu:
-  // spec that plans the alias's tiles and kernel datapath.
+  // serial, pool, simd and openmp build the one CpuBackend: each spec
+  // names a cpu: spec that plans the alias's tiles and kernel datapath.
   struct Case {
     const char* spec;
     const char* canonical;
@@ -108,6 +108,18 @@ TEST(BackendRegistry, AliasesCanonicalizeToCpuSpecs) {
       {"simd:threads=1,tuned=gather/256/-/-",
        "cpu:threads=1,datapath=soa,tuned=gather/256/-/-", 1,
        KernelVariant::SimdGather},
+      // openmp: the tiles its OpenMP loops planned (one row block per
+      // thread; 4 x threads row blocks; 64x64 tiles for steal).
+      {"openmp:threads=4", "cpu:threads=4,rows=4", 4, KernelVariant::Scalar},
+      {"openmp:threads=4,schedule=dynamic",
+       "cpu:threads=4,schedule=dynamic", 16, KernelVariant::Scalar},
+      {"openmp:threads=4,schedule=guided",
+       "cpu:threads=4,schedule=dynamic", 16, KernelVariant::Scalar},
+      {"openmp:threads=4,schedule=steal",
+       "cpu:threads=4,schedule=steal,tiles,tile=64x64", 6,
+       KernelVariant::Scalar},
+      {"openmp:threads=2,map=packed", "cpu:threads=2,rows=2,map=packed", 2,
+       KernelVariant::Scalar},
   };
   const int w = 160, h = 120;
   const Corrector corr = Corrector::builder(w, h).build();

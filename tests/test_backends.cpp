@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/accel_backend.hpp"
+#include "core/backend_registry.hpp"
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
 #include "image/synth.hpp"
@@ -130,7 +132,6 @@ TEST_P(BackendEquivalence, FpgaSimulatorMatchesPackedReference) {
   EXPECT_GT(fpga.last_stats().cache_accesses, 0u);
 }
 
-#ifdef _OPENMP
 TEST_P(BackendEquivalence, OpenMpMatchesSerialBitExact) {
   const auto [w, h, ch] = GetParam();
   const Corrector corr =
@@ -139,11 +140,15 @@ TEST_P(BackendEquivalence, OpenMpMatchesSerialBitExact) {
   img::Image8 ref(w, h, ch), out(w, h, ch);
   core::SerialBackend serial;
   corr.correct(src.view(), ref.view(), serial);
-  core::OpenMpBackend omp(2);
-  corr.correct(src.view(), out.view(), omp);
-  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
+  // The openmp alias, one plan per OpenMP schedule it maps.
+  for (const char* sched : {"static", "dynamic", "guided", "steal"}) {
+    const auto omp = core::BackendRegistry::create(
+        std::string("openmp:threads=2,schedule=") + sched);
+    corr.correct(src.view(), out.view(), *omp);
+    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
+        << sched;
+  }
 }
-#endif
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BackendEquivalence,
                          ::testing::Values(Shape{160, 120, 1},

@@ -2,6 +2,9 @@
 // accounting, network-model shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/cluster_sim.hpp"
 #include "core/corrector.hpp"
 #include "image/metrics.hpp"
@@ -105,12 +108,21 @@ TEST(Cluster, SlowNodesScaleComputeTime) {
   normal.ranks = half.ranks = 2;
   half.node_speed = 0.5;
   ClusterSimBackend nb(normal), hb(half);
-  e.corr.correct(e.src.view(), out.view(), nb);
-  e.corr.correct(e.src.view(), out.view(), hb);
-  // Half-speed nodes roughly double the compute share (timing noise on a
-  // busy host allows generous bounds).
-  EXPECT_GT(hb.last_stats().compute_seconds,
-            1.4 * nb.last_stats().compute_seconds);
+  // Half-speed nodes roughly double the compute share. One frame computes
+  // in tens of microseconds, so compare medians over frames that alternate
+  // between the two backends (a busy host slows both alike).
+  std::vector<double> normal_s, half_s;
+  for (int f = 0; f < 15; ++f) {
+    e.corr.correct(e.src.view(), out.view(), nb);
+    normal_s.push_back(nb.last_stats().compute_seconds);
+    e.corr.correct(e.src.view(), out.view(), hb);
+    half_s.push_back(hb.last_stats().compute_seconds);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_GT(median(half_s), 1.4 * median(normal_s));
 }
 
 TEST(Cluster, StatsAreConsistent) {

@@ -1,20 +1,72 @@
-// parallel_for scheduling-policy semantics: exactly-once coverage for every
-// schedule, contiguity of chunks, exception propagation.
+// Lane schedule semantics, composed on ThreadPool lanes the way
+// core::CpuBackend runs its tiles: exactly-once coverage for every
+// schedule, contiguity of static blocks, chunk sizes of the shared cursor,
+// exception propagation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <ostream>
 #include <utility>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/error.hpp"
 
 namespace fisheye::par {
 namespace {
+
+/// Run body(begin, end) over [0, n) on every lane of `pool`: static
+/// blocks, chunks of a shared cursor, or work stealing over chunk-sized
+/// items in index order.
+template <class Body>
+void run_schedule(ThreadPool& pool, std::size_t n, const Body& body,
+                  Schedule schedule = Schedule::Static,
+                  std::size_t chunk = 1) {
+  const unsigned lanes = pool.size();
+  if (schedule == Schedule::Static) {
+    pool.run([&](unsigned lane) {
+      const auto [b, e] = static_block(n, lanes, lane);
+      if (b < e) body(b, e);
+    });
+  } else if (schedule == Schedule::Steal) {
+    const std::size_t items = (n + chunk - 1) / chunk;
+    std::vector<std::uint32_t> order(items);
+    std::iota(order.begin(), order.end(), 0u);
+    StealScheduler steal(lanes);
+    steal.begin_frame(order.data(), items,
+                      balanced_runs(items, lanes, [](std::size_t) {
+                        return 1.0;
+                      }));
+    pool.run([&](unsigned lane) {
+      steal.work(lane, [&](std::size_t i) {
+        body(i * chunk, std::min(i * chunk + chunk, n));
+      });
+    });
+  } else {
+    ChunkCursor cursor(n, lanes, schedule, chunk);
+    pool.run([&](unsigned) {
+      std::size_t b = 0, e = 0;
+      while (cursor.next(b, e)) body(b, e);
+    });
+  }
+}
+
+/// Per-index form.
+template <class Body>
+void run_each(ThreadPool& pool, std::size_t n, const Body& body,
+              Schedule schedule = Schedule::Static, std::size_t chunk = 1) {
+  run_schedule(
+      pool, n,
+      [&body](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) body(i);
+      },
+      schedule, chunk);
+}
 
 struct Case {
   Schedule schedule;
@@ -35,13 +87,13 @@ TEST_P(ParallelForSweep, CoversEveryIndexExactlyOnce) {
   const Case c = GetParam();
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(c.n);
-  parallel_for(
+  run_schedule(
       pool, c.n,
       [&hits](std::size_t b, std::size_t e) {
         ASSERT_LE(b, e);
         for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
       },
-      {c.schedule, c.chunk});
+      c.schedule, c.chunk);
   for (std::size_t i = 0; i < c.n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
@@ -64,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelFor, EmptyRangeIsNoop) {
   ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t, std::size_t) {
+  run_schedule(pool, 0, [](std::size_t, std::size_t) {
     FAIL() << "body must not run for n == 0";
   });
 }
@@ -73,7 +125,7 @@ TEST(ParallelFor, StaticChunksAreContiguousAndOrderedPerLane) {
   ThreadPool pool(4);
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  parallel_for(pool, 103, [&](std::size_t b, std::size_t e) {
+  run_schedule(pool, 103, [&](std::size_t b, std::size_t e) {
     const std::scoped_lock lock(mu);
     ranges.emplace_back(b, e);
   });
@@ -92,13 +144,13 @@ TEST(ParallelFor, DynamicRespectsChunkSize) {
   ThreadPool pool(2);
   std::mutex mu;
   std::vector<std::size_t> sizes;
-  parallel_for(
+  run_schedule(
       pool, 100,
       [&](std::size_t b, std::size_t e) {
         const std::scoped_lock lock(mu);
         sizes.push_back(e - b);
       },
-      {Schedule::Dynamic, 16});
+      Schedule::Dynamic, 16);
   for (std::size_t s : sizes) EXPECT_LE(s, 16u);
   EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}), 100u);
 }
@@ -107,13 +159,13 @@ TEST(ParallelFor, GuidedChunksShrink) {
   ThreadPool pool(2);
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  parallel_for(
+  run_schedule(
       pool, 10000,
       [&](std::size_t b, std::size_t e) {
         const std::scoped_lock lock(mu);
         ranges.emplace_back(b, e);
       },
-      {Schedule::Guided, 8});
+      Schedule::Guided, 8);
   std::sort(ranges.begin(), ranges.end());
   // First claimed chunk is remaining/(2*lanes) = 2500-ish; the final chunks
   // bottom out at the minimum.
@@ -124,27 +176,27 @@ TEST(ParallelFor, GuidedChunksShrink) {
 TEST(ParallelFor, ExceptionIsRethrownOnCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      parallel_for(pool, 100,
+      run_schedule(pool, 100,
                    [](std::size_t b, std::size_t) {
                      if (b >= 25) throw fisheye::IoError("lane failure");
                    }),
       fisheye::IoError);
   // Pool must still be usable afterwards.
   std::atomic<int> ok{0};
-  parallel_for_each(pool, 10, [&ok](std::size_t) { ok.fetch_add(1); });
+  run_each(pool, 10, [&ok](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 10);
 }
 
 TEST(ParallelFor, FirstExceptionWins) {
   ThreadPool pool(4);
   try {
-    parallel_for_each(
+    run_each(
         pool, 100,
         [](std::size_t i) {
           if (i % 2 == 0) throw fisheye::IoError("even");
           throw fisheye::ResourceError("odd");
         },
-        {Schedule::Dynamic, 1});
+        Schedule::Dynamic);
     FAIL() << "must throw";
   } catch (const fisheye::Error& e) {
     // Exactly one of the two exception types, intact message.
@@ -155,18 +207,17 @@ TEST(ParallelFor, FirstExceptionWins) {
 
 TEST(ParallelFor, ZeroChunkViolatesContract) {
   ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(
-                   pool, 10, [](std::size_t, std::size_t) {},
-                   {Schedule::Dynamic, 0}),
+  EXPECT_THROW(ChunkCursor(10, pool.size(), Schedule::Dynamic, 0),
                fisheye::InvalidArgument);
 }
 
 TEST(ParallelForEach, SumsCorrectly) {
   ThreadPool pool(4);
   std::atomic<long long> sum{0};
-  parallel_for_each(
-      pool, 1000, [&sum](std::size_t i) { sum.fetch_add(static_cast<long long>(i)); },
-      {Schedule::Guided, 4});
+  run_each(
+      pool, 1000,
+      [&sum](std::size_t i) { sum.fetch_add(static_cast<long long>(i)); },
+      Schedule::Guided, 4);
   EXPECT_EQ(sum.load(), 999LL * 1000 / 2);
 }
 

@@ -1,11 +1,11 @@
 // The tentpole guarantee of the plan/execute split: once a plan is built
 // and warmed up, steady-state execute() performs ZERO heap allocations on
-// every CPU backend — the Workspace arena (tiles, steal order/runs,
-// resplit buffers) and the instrumentation slots are all sized at plan
-// time or during the first frames.
+// every CPU backend — the Workspace arena (tiles, steal order/runs) and
+// the instrumentation slots are all sized at plan time or during the first
+// frames.
 //
 // The hook is a counting global operator new: warm the plan for a few
-// frames (lazy pool spin-up, vector capacity growth, libgomp internals),
+// frames (lazy worker start, vector capacity growth, the steal deques),
 // snapshot the counter, run more frames, and require a zero delta. Every
 // replaceable form is replaced, the nothrow ones included (libstdc++'s
 // std::stable_sort takes its buffer from nothrow new), so each allocation
@@ -230,8 +230,6 @@ TEST(PlanAllocations, ShardSupervisorIsAllocationFree) {
 }
 
 TEST(PlanAllocations, OpenMpSchedulesAreAllocationFree) {
-  if (!BackendRegistry::instance().has("openmp"))
-    GTEST_SKIP() << "built without OpenMP";
   for (const char* sched : {"static", "dynamic", "guided", "steal"})
     expect_zero_steady_state_allocs(
         std::string("openmp:threads=2,schedule=") + sched);

@@ -292,8 +292,7 @@ TEST(ServeExactness, CompactMapEdgeWindows) {
 TEST(ServeExactness, CoalescedAndUncoalescedServeIdenticalCrops) {
   const img::Image8 src = make_src();
   const ServerConfig cfg = base_config();
-  // One pool per server: a serving pool is fully dedicated to its
-  // executor's scheduler (see WorkStealingPool::start_service).
+  // One pool per server: a server's executor takes every lane of its pool.
   par::ThreadPool pool_on(2), pool_off(2);
   Server on(cfg, ServeOptions::parse("serve:coalesce=on"), pool_on);
   Server off(cfg, ServeOptions::parse("serve:coalesce=off"), pool_off);

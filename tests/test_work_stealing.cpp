@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "parallel/partition.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
+#include "stream/stream_executor.hpp"
 
 namespace fisheye {
 namespace {
@@ -128,23 +130,32 @@ TEST(BalancedRuns, MoreWorkersThanItemsLeavesTailRunsEmpty) {
   for (std::size_t w = 0; w < 5; ++w) EXPECT_LE(runs[w], runs[w + 1]);
 }
 
-// --- StealScheduler / WorkStealingPool --------------------------------------
+// --- StealScheduler on pool lanes -------------------------------------------
+
+/// One frame of `steal` on every lane of `pool`, as CpuBackend runs it.
+template <class Fn>
+par::StealStats run_frame(par::ThreadPool& pool, par::StealScheduler& steal,
+                          const std::vector<std::uint32_t>& order,
+                          const std::vector<std::size_t>& runs, Fn&& fn) {
+  steal.begin_frame(order.data(), order.size(), runs);
+  pool.run([&](unsigned lane) { steal.work(lane, fn); });
+  return steal.stats();
+}
 
 TEST(StealScheduler, RunsEveryIndexExactlyOnceUnderSkewedRuns) {
   // All work initially on worker 0: the other workers must steal all of
   // their share. Counters must account for every execution exactly once.
   constexpr std::size_t kN = 2000;
   par::ThreadPool pool(4);
-  par::WorkStealingPool ws(pool);
+  par::StealScheduler steal(pool.size());
   std::vector<std::uint32_t> order(kN);
   std::iota(order.begin(), order.end(), 0u);
-  std::vector<std::size_t> runs(ws.size() + 1, kN);
+  std::vector<std::size_t> runs(pool.size() + 1, kN);
   runs[0] = 0;  // worker 0 owns everything
 
   std::vector<std::atomic<int>> hits(kN);
-  const par::StealStats stats =
-      ws.run_ordered(order.data(), kN, runs,
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+  const par::StealStats stats = run_frame(
+      pool, steal, order, runs, [&](std::size_t i) { hits[i].fetch_add(1); });
 
   for (std::size_t i = 0; i < kN; ++i)
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
@@ -157,17 +168,17 @@ TEST(StealScheduler, BalancedRunsExecuteRepeatedFrames) {
   // frame with the same order and runs.
   constexpr std::size_t kN = 500;
   par::ThreadPool pool(3);
-  par::WorkStealingPool ws(pool);
+  par::StealScheduler steal(pool.size());
   std::vector<std::uint32_t> order(kN);
   std::iota(order.begin(), order.end(), 0u);
   const std::vector<std::size_t> runs =
-      par::balanced_runs(kN, ws.size(), [](std::size_t) { return 1.0; });
+      par::balanced_runs(kN, pool.size(), [](std::size_t) { return 1.0; });
 
   for (int frame = 0; frame < 5; ++frame) {
     std::vector<std::atomic<int>> hits(kN);
     const par::StealStats stats =
-        ws.run_ordered(order.data(), kN, runs,
-                       [&](std::size_t i) { hits[i].fetch_add(1); });
+        run_frame(pool, steal, order, runs,
+                  [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i)
       ASSERT_EQ(hits[i].load(), 1) << "frame " << frame << " index " << i;
     EXPECT_EQ(stats.local + stats.stolen, kN) << "frame " << frame;
@@ -176,12 +187,12 @@ TEST(StealScheduler, BalancedRunsExecuteRepeatedFrames) {
 
 TEST(StealScheduler, SingleWorkerRunsEverythingLocally) {
   par::ThreadPool pool(1);
-  par::WorkStealingPool ws(pool);
+  par::StealScheduler steal(pool.size());
   std::vector<std::uint32_t> order = {0, 1, 2, 3};
   std::vector<std::size_t> visit_order;
-  const par::StealStats stats = ws.run_ordered(
-      order.data(), order.size(), {0, 4},
-      [&](std::size_t i) { visit_order.push_back(i); });
+  const par::StealStats stats =
+      run_frame(pool, steal, order, {0, 4},
+                [&](std::size_t i) { visit_order.push_back(i); });
   // One worker, no one to steal from: schedule order is preserved exactly.
   EXPECT_EQ(visit_order, (std::vector<std::size_t>{0, 1, 2, 3}));
   EXPECT_EQ(stats.local, 4u);
@@ -248,62 +259,33 @@ TEST(MortonOrder, OrderedTileScheduleCoversEveryPixelExactlyOnce) {
   EXPECT_NE(ordered, tiles);
 }
 
-// --- Multi-service WorkStealingPool -----------------------------------------
+// --- Services sharing one pool ---------------------------------------------
 
 TEST(WorkStealingPool, TwoServicesShareOneThreadPool) {
-  // Two independent services split one pool's lanes (2 + 2 on a pool of
-  // 4). Each must make progress concurrently, and stopping one must only
-  // join its own lanes — the other keeps serving.
+  // Two stream executors split one pool's lanes (2 + 2 on a pool of 4).
+  // Each must make progress concurrently, and stopping one must only join
+  // its own service threads — the other keeps serving.
   par::ThreadPool pool(4);
-  par::WorkStealingPool a(pool);
-  par::WorkStealingPool b(pool);
-  par::StreamScheduler sched_a(2, 2);
-  par::StreamScheduler sched_b(2, 2);
-  a.start_service(sched_a);
-  b.start_service(sched_b);
-
-  struct Env {
-    std::atomic<std::size_t> ran{0};
-    std::atomic<int> retired{0};
-  };
-  Env env_a, env_b;
-  std::vector<std::uint32_t> order(64);
-  std::iota(order.begin(), order.end(), 0u);
-  par::StreamJob job;
-  job.order = order.data();
-  job.count = order.size();
-  job.run = [](void* env, std::uint32_t, unsigned) {
-    static_cast<Env*>(env)->ran.fetch_add(1, std::memory_order_relaxed);
-  };
-  job.retire = [](void* env, const par::StealStats&) {
-    static_cast<Env*>(env)->retired.fetch_add(1, std::memory_order_release);
-  };
-
-  const std::size_t slot_a = sched_a.create_slot();
-  const std::size_t slot_b = sched_b.create_slot();
-  ASSERT_NE(slot_a, par::StreamScheduler::kNoSlot);
-  ASSERT_NE(slot_b, par::StreamScheduler::kNoSlot);
-  const auto wait_retired = [](const Env& e, int n) {
-    while (e.retired.load(std::memory_order_acquire) < n)
-      std::this_thread::yield();
-  };
+  stream::StreamExecutorOptions opts;
+  opts.lanes = 2;
+  const core::Corrector corr(
+      core::Corrector::builder(64, 48).fov_degrees(170.0).config());
+  img::Image8 src(64, 48, 1), out_a(64, 48, 1), out_b(64, 48, 1);
+  auto a = std::make_unique<stream::StreamExecutor>(pool, opts);
+  stream::StreamExecutor b(pool, opts);
+  const stream::StreamId id_a = a->add_stream(corr);
+  const stream::StreamId id_b = b.add_stream(corr);
   for (int f = 0; f < 5; ++f) {
-    job.env = &env_a;
-    sched_a.post(slot_a, job);
-    job.env = &env_b;
-    sched_b.post(slot_b, job);
-    wait_retired(env_a, f + 1);
-    wait_retired(env_b, f + 1);
+    const std::uint64_t seq_a = a->submit(id_a, src.view(), out_a.view());
+    const std::uint64_t seq_b = b.submit(id_b, src.view(), out_b.view());
+    a->wait(id_a, seq_a);
+    b.wait(id_b, seq_b);
   }
+  EXPECT_EQ(a->stats(id_a).frames, 5u);
 
-  a.stop_service();  // must not wait on b's still-running lanes
-  job.env = &env_b;
-  sched_b.post(slot_b, job);
-  wait_retired(env_b, 6);
-  b.stop_service();
-
-  EXPECT_EQ(env_a.ran.load(), 5u * order.size());
-  EXPECT_EQ(env_b.ran.load(), 6u * order.size());
+  a.reset();  // must not wait on b's lanes
+  b.wait(id_b, b.submit(id_b, src.view(), out_b.view()));
+  EXPECT_EQ(b.stats(id_b).frames, 6u);
 }
 
 }  // namespace
