@@ -276,31 +276,31 @@ AccelFrameStats CellLikePlatform::run_frame(
 
   // Steal policy state: each SPE starts with a contiguous run of the
   // Morton-ordered (by source-bbox centroid) tile sequence, split by
-  // modeled cost; an SPE whose run is exhausted takes the TAIL half of the
-  // most loaded SPE's remaining run — the far end of the victim's
-  // traversal, mirroring par::StealQueue. Runs are consumed front-first so
-  // each SPE walks source-adjacent tiles (docs/modeling.md).
-  std::vector<std::vector<std::size_t>> spe_runs;
-  std::vector<std::size_t> spe_head;
+  // modeled cost, as positions [lo, hi) of `morder`; an SPE whose run is
+  // exhausted takes the TAIL half of the most loaded SPE's remaining run —
+  // the far end of the victim's traversal, as par::TileRange steals. Runs
+  // are consumed front-first so each SPE walks source-adjacent tiles
+  // (docs/modeling.md).
+  struct Run {
+    std::size_t lo = 0, hi = 0;
+  };
+  std::vector<std::uint32_t> morder;
+  std::vector<Run> runs;
   if (config_.schedule == TileSchedule::Steal) {
     std::vector<par::Rect> keys;
     keys.reserve(tiles_.size());
     for (const SpeTile& t : tiles_) keys.push_back(t.src_box);
-    const std::vector<std::uint32_t> morder = par::morton_order(keys);
+    morder = par::morton_order(keys);
     std::vector<double> total(tiles_.size());
     for (std::size_t i = 0; i < tiles_.size(); ++i) {
       const TileCost tc = tile_cost(tiles_[i]);
       total[i] = tc.dma_in + tc.compute + tc.dma_out;
     }
-    const std::vector<std::size_t> runs = par::balanced_runs(
+    const std::vector<std::size_t> cuts = par::balanced_runs(
         morder.size(), static_cast<unsigned>(n_spes),
         [&](std::size_t i) { return total[morder[i]]; });
-    spe_runs.resize(lanes.size());
-    spe_head.assign(lanes.size(), 0);
     for (std::size_t w = 0; w < lanes.size(); ++w)
-      spe_runs[w].assign(morder.begin() + static_cast<std::ptrdiff_t>(runs[w]),
-                         morder.begin() +
-                             static_cast<std::ptrdiff_t>(runs[w + 1]));
+      runs.push_back({cuts[w], cuts[w + 1]});
   }
 
   for (std::size_t idx = 0; idx < order.size(); ++idx) {
@@ -315,12 +315,12 @@ AccelFrameStats CellLikePlatform::run_frame(
         if (lanes[l].out_done < lanes[best].out_done) best = l;
     }
     if (config_.schedule == TileSchedule::Steal) {
-      if (spe_head[best] == spe_runs[best].size()) {
+      if (runs[best].lo == runs[best].hi) {
         // Run exhausted: steal the tail half of the largest remaining run.
         std::size_t victim = lanes.size();
         std::size_t victim_rem = 0;
         for (std::size_t v = 0; v < lanes.size(); ++v) {
-          const std::size_t rem = spe_runs[v].size() - spe_head[v];
+          const std::size_t rem = runs[v].hi - runs[v].lo;
           if (rem > victim_rem) {
             victim = v;
             victim_rem = rem;
@@ -328,14 +328,11 @@ AccelFrameStats CellLikePlatform::run_frame(
         }
         FE_EXPECTS(victim < lanes.size());  // idx < total => work remains
         const std::size_t take = (victim_rem + 1) / 2;
-        std::vector<std::size_t>& vq = spe_runs[victim];
-        spe_runs[best].assign(vq.end() - static_cast<std::ptrdiff_t>(take),
-                              vq.end());
-        vq.erase(vq.end() - static_cast<std::ptrdiff_t>(take), vq.end());
-        spe_head[best] = 0;
+        runs[best] = {runs[victim].hi - take, runs[victim].hi};
+        runs[victim].hi -= take;
         ++stats.steals;
       }
-      t = spe_runs[best][spe_head[best]++];
+      t = morder[runs[best].lo++];
     }
     const SpeTile& tile = tiles_[t];
     const TileCost tc = tile_cost(tile);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <exception>
-#include <numeric>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -333,7 +332,7 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
   const bool steal = options_.schedule == par::Schedule::Steal;
   if (steal) {
     // Reorder the partition by source locality once, at plan time, and
-    // pre-split it into the workers' initial deque runs. The effective
+    // pre-split it into the lanes' initial runs. The effective
     // (post map=) context supplies the source boxes — it is what execute()
     // will actually gather from.
     tiles = order_tiles_by_source_locality(ectx, std::move(tiles));
@@ -342,11 +341,9 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
       make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
                 t.datapath.value_or(options_.datapath), t.strip);
   if (steal) {
-    // The tiles are stored in steal order, so the order is the identity;
-    // each lane's initial run is balanced by tile area.
+    // The tiles are stored in steal order; each lane's initial run of
+    // positions is balanced by tile area.
     Workspace& ws = p.workspace();
-    ws.steal_order.resize(ws.tiles.size());
-    std::iota(ws.steal_order.begin(), ws.steal_order.end(), 0u);
     ws.steal_runs = par::balanced_runs(
         ws.tiles.size(), threads(), [&](std::size_t i) {
           return static_cast<double>(ws.tiles[i].area());
@@ -431,7 +428,7 @@ void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {
   } else if (options_.schedule == par::Schedule::Steal) {
     const Workspace& ws = plan.workspace();
     if (!steal_) steal_ = std::make_unique<par::StealScheduler>(lanes);
-    steal_->begin_frame(ws.steal_order.data(), n, ws.steal_runs);
+    steal_->begin_frame(ws.steal_runs);
     pool_->run([&](unsigned lane) {
       // A tile that throws must still count as run, or the other lanes
       // would wait for it: hold the lane's first error until its loop ends.

@@ -245,8 +245,8 @@ struct CpuOptions {
 /// schedule=steal additionally reorders the partition at plan time by
 /// Morton code of each tile's *source* bounding-box centroid and
 /// pre-assigns contiguous runs of that order to the lanes as initial
-/// deque contents (core/tile_order.hpp, parallel/work_stealing.hpp):
-/// lanes walk source-adjacent tiles and steal only to repair imbalance.
+/// ranges (core/tile_order.hpp, parallel/work_stealing.hpp): lanes walk
+/// source-adjacent tiles and steal only to repair imbalance.
 class CpuBackend final : public Backend {
  public:
   /// One thread (the default) runs tiles on the caller; more own a private
@@ -276,8 +276,8 @@ class CpuBackend final : public Backend {
   std::unique_ptr<par::ThreadPool> owned_pool_;
   /// Null at one thread.
   par::ThreadPool* pool_ = nullptr;
-  /// Steal-schedule deques, one per lane; created on the first steal frame
-  /// and reused every frame.
+  /// Steal-schedule tile ranges, one per lane; created on the first steal
+  /// frame and reused every frame.
   std::unique_ptr<par::StealScheduler> steal_;
 };
 

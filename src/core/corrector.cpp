@@ -1,7 +1,5 @@
 #include "core/corrector.hpp"
 
-#include <numeric>
-
 #include "core/tile_order.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
@@ -137,9 +135,6 @@ ExecutionPlan build_service_plan(const ExecContext& ctx, int tile_w, int tile_h,
 
   Workspace& ws = plan.workspace();
   const std::size_t n = plan.tiles().size();
-  // Tiles are stored pre-ordered, so the schedule permutation is identity.
-  ws.steal_order.resize(n);
-  std::iota(ws.steal_order.begin(), ws.steal_order.end(), 0u);
   ws.bytes_in_estimate = estimate_bytes_in(ctx);
   ws.bytes_out_estimate = estimate_bytes_out(ctx);
   // Pre-size the per-tile slots so the first frame already allocates

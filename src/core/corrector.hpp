@@ -89,14 +89,13 @@ class Corrector {
   /// Canonical backend name stamped into stream plans (PlanKey::backend).
   static constexpr const char* kStreamPlanName = "stream";
 
-  /// Plan for multi-stream service (stream::StreamExecutor): a
-  /// source-locality-ordered square-tile decomposition whose schedule
-  /// permutation, instrumentation slots, and byte estimates are all sized
-  /// here — per-frame service against the plan allocates nothing. One plan
-  /// per stream: the plan's workspace and instrumentation are that
-  /// stream's arena, written by whichever workers serve its frames but
-  /// only for one frame at a time (the executor serializes frames within a
-  /// stream).
+  /// Plan for multi-stream service (stream::StreamExecutor): a square-tile
+  /// decomposition stored in source-locality order, whose instrumentation
+  /// slots and byte estimates are sized here — per-frame service against
+  /// the plan allocates nothing. One plan per stream: the plan's
+  /// workspace and instrumentation are that stream's arena, written by
+  /// whichever workers serve its frames but only for one frame at a time
+  /// (the executor serializes frames within a stream).
   [[nodiscard]] ExecutionPlan prepare_stream(int channels = 1, int tile_w = 64,
                                              int tile_h = 64) const;
 
@@ -212,10 +211,10 @@ inline Corrector::Builder Corrector::builder(int src_width, int src_height) {
 using TileKeyFn = std::function<par::Rect(const par::Rect& tile)>;
 
 /// Build a service plan for `ctx` under PlanKey backend `plan_name`: a
-/// source-locality-ordered square-tile decomposition whose schedule
-/// permutation, instrumentation slots, and byte estimates are all sized
-/// here, so per-frame execution against the plan allocates nothing. Tiles
-/// cover [0,tile_region_w) x [0,tile_region_h) (0 = ctx.dst dims); the
+/// square-tile decomposition stored in source-locality order, whose
+/// instrumentation slots and byte estimates are sized here, so per-frame
+/// execution against the plan allocates nothing. Tiles cover
+/// [0,tile_region_w) x [0,tile_region_h) (0 = ctx.dst dims); the
 /// serving layer passes a region smaller than ctx.dst when the output
 /// carries compact-grid padding no client ever reads. Tiles are Morton
 /// ordered by `tile_key` when set, else by source_locality_keys(ctx) — a

@@ -146,7 +146,7 @@ struct PlanInstrumentation {
 /// Per-plan arena: every buffer the steady-state execute path touches,
 /// sized at plan time so frames allocate nothing. The tile decomposition
 /// lives here too — the plan IS its workspace, and backends annotate it
-/// with whatever schedule state they need (steal order/runs). Kernels keep
+/// with whatever schedule state they need (steal runs). Kernels keep
 /// their SoA strip scratch on their own stack.
 /// Like the instrumentation slots, the workspace is written by execution,
 /// which is why a plan may execute at most one frame at a time. Within
@@ -162,10 +162,8 @@ struct Workspace {
 
   /// The plan's tile decomposition (schedule order for steal plans).
   std::vector<par::Rect> tiles;
-  /// schedule=steal: tile indices in schedule order (identity permutation
-  /// over `tiles`, which are stored pre-ordered) and the per-worker
-  /// initial deque runs (see par::balanced_runs).
-  std::vector<std::uint32_t> steal_order;
+  /// schedule=steal: each lane's initial run of positions in `tiles`,
+  /// which are stored in schedule order (see par::balanced_runs).
   std::vector<std::size_t> steal_runs;
   /// Analytic per-frame traffic, computed once at plan time.
   std::size_t bytes_in_estimate = 0;

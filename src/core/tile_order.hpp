@@ -8,7 +8,7 @@
 // Morton (Z-order) code of their source-bbox centroid makes consecutive
 // schedule positions source-adjacent, so a worker consuming a contiguous
 // run of the schedule walks the source image coherently. This is the
-// ordering the steal schedule pre-assigns as initial deque runs (see
+// ordering the steal schedule pre-assigns as the lanes' initial runs (see
 // parallel/work_stealing.hpp); steals then only repair imbalance.
 #pragma once
 

@@ -11,31 +11,32 @@
 // half of another worker's remaining run — so steals repair imbalance
 // while the common case walks source-adjacent tiles.
 //
+// Plans store their tiles in schedule order, so a schedule position is a
+// tile index and every queue below is a range of positions.
+//
 // Structure:
-//  * StealQueue      — one worker's tile queue. The owner pops LIFO from
-//                      the tail (the items array is filled in reverse, so
-//                      owner pops traverse the assigned run in schedule
-//                      order); thieves lock and take HALF of the remaining
-//                      items from the head — the far end of the owner's
-//                      traversal, keeping the contested halves disjoint.
-//  * StealPolicy     — steal granularity: a don't-steal-below floor and a
-//                      minimum batch, so thieves never thrash over the
-//                      last few tiles of a nearly-drained run.
-//  * StealScheduler  — a set of cache-line-padded worker blocks plus the
-//                      stealing run loop; thread-agnostic: the CPU backend
-//                      runs work(lane) on each lane of a ThreadPool frame.
+//  * TileRange       — the one steal queue: positions [lo, hi). The owner
+//                      pops from lo, walking its run in schedule order;
+//                      thieves take HALF of what is left from hi — the far
+//                      end of the owner's traversal, keeping the contested
+//                      halves disjoint. A steal moves an index and copies
+//                      nothing.
+//  * StealScheduler  — one range per lane plus the stealing run loop;
+//                      thread-agnostic: the CPU backend runs work(lane) on
+//                      each lane of a ThreadPool frame. A thief parks its
+//                      stolen batch as its own range, where other lanes
+//                      can steal from it again.
 //  * StreamScheduler — the hybrid frame×tile generalization: S stream
-//                      slots instead of W worker deques. Each slot holds
+//                      slots instead of W lane ranges. Each slot holds
 //                      one in-flight frame (a locality-ordered tile run);
 //                      a worker claims the oldest unowned frame and walks
-//                      its run in order (owner-LIFO within a stream), and
-//                      idle workers steal tile batches across streams.
-//                      stream::StreamExecutor runs its workers on threads
-//                      of their own.
+//                      its run in order, and idle workers steal tile
+//                      batches across streams. stream::StreamExecutor runs
+//                      its workers on threads of their own.
 //
-// Queues are mutex-protected: a steal is O(half the queue) under the lock
-// and owner pops are uncontended in the common case. Victim selection reads
-// a relaxed size mirror (approx_size) so the scan never touches a lock. At
+// Ranges are mutex-protected: pop and steal are O(1) under the lock and
+// owner pops are uncontended in the common case. Victim selection reads a
+// relaxed size mirror (approx_size) so the scan never touches a lock. At
 // tile granularity (thousands of pixels each) the residual lock cost is
 // noise, and the scheme is clean under ThreadSanitizer — the CI TSan job
 // builds exactly this.
@@ -67,178 +68,145 @@ struct StealStats {
 };
 
 /// Steal granularity. Stealing half of a tiny far-end run thrashes: the
-/// thief pays a lock + O(n) copy for one or two near-free tiles, the victim
+/// thief pays a lock for one or two near-free tiles, the victim
 /// immediately runs dry and steals back, and on small tile counts (skewed
 /// frames, low-resolution streams) that ping-pong erases the schedule's
 /// win over static (the F2b regression). The floor says "leave short runs
 /// to their owner" — the residual imbalance is bounded by floor-1 tiles —
-/// and min_batch makes every successful steal carry enough work to amortize
-/// its cost.
-struct StealPolicy {
-  /// Don't steal from a queue holding fewer than this many items.
-  std::size_t steal_floor = 4;
-  /// Take at least this many items per steal (capped by what's there).
-  std::size_t min_batch = 2;
-};
+/// and the minimum batch makes every successful steal carry enough work to
+/// amortize its cost.
+inline constexpr std::size_t kStealFloor = 4;
+inline constexpr std::size_t kMinStealBatch = 2;
 
-/// One worker's queue of tile indices. Owner takes from the tail; thieves
-/// take half from the head. All operations lock; see the header comment
-/// for why that is the right trade at tile granularity.
-class StealQueue {
+/// One queue of unclaimed tiles: positions [lo, hi). The owner pops from
+/// lo, thieves take batches from hi, so the unclaimed tiles always stay
+/// one contiguous range.
+class TileRange {
  public:
-  /// Replace the contents with `run` = [begin, end) of `order`, stored in
-  /// reverse so that pop() yields order[begin], order[begin+1], ...
-  void assign(const std::uint32_t* order, std::size_t begin, std::size_t end) {
+  void assign(std::size_t lo, std::size_t hi) {
     const std::scoped_lock lock(mu_);
-    items_.clear();
-    items_.reserve(end - begin);
-    for (std::size_t i = end; i > begin; --i)
-      items_.push_back(order[i - 1]);
-    size_.store(items_.size(), std::memory_order_relaxed);
+    lo_ = lo;
+    hi_ = hi;
+    size_.store(hi - lo, std::memory_order_relaxed);
   }
 
-  /// Grow the storage to hold `n` items, so that no later assign() of at
-  /// most `n` items reallocates.
-  void reserve(std::size_t n) {
+  /// Owner pop: the next position in schedule order. False when empty.
+  bool pop(std::size_t& pos) {
     const std::scoped_lock lock(mu_);
-    items_.reserve(n);
-  }
-
-  /// Owner pop (LIFO tail). Returns false when empty.
-  bool pop(std::uint32_t& out) {
-    const std::scoped_lock lock(mu_);
-    if (items_.empty()) return false;
-    out = items_.back();
-    items_.pop_back();
-    size_.store(items_.size(), std::memory_order_relaxed);
+    if (lo_ == hi_) return false;
+    pos = lo_++;
+    size_.store(hi_ - lo_, std::memory_order_relaxed);
     return true;
   }
 
-  /// Steal ceil(half) — at least min(min_batch, size) — of the remaining
-  /// items from the head into `loot` (cleared first), unless fewer than
-  /// `floor` items remain, in which case nothing is taken. Returns the
-  /// number of items taken.
-  std::size_t steal_half(std::vector<std::uint32_t>& loot,
-                         std::size_t floor = 0, std::size_t min_batch = 1) {
-    loot.clear();
+  /// Steal ceil(half) — at least min(kMinStealBatch, size) — of the
+  /// remaining positions from the far end, unless fewer than kStealFloor
+  /// remain, in which case nothing is taken. The batch is
+  /// [first, first + taken).
+  std::size_t steal_half(std::size_t& first) {
     const std::scoped_lock lock(mu_);
-    const std::size_t n = items_.size();
-    if (n == 0 || n < floor) return 0;
-    // Head = front of the vector = the far end of the owner's traversal.
+    const std::size_t n = hi_ - lo_;
+    if (n < kStealFloor) return 0;
     const std::size_t take =
-        std::max((n + 1) / 2, std::min(min_batch, n));
-    loot.assign(items_.begin(),
-                items_.begin() + static_cast<std::ptrdiff_t>(take));
-    items_.erase(items_.begin(),
-                 items_.begin() + static_cast<std::ptrdiff_t>(take));
-    size_.store(items_.size(), std::memory_order_relaxed);
+        std::max((n + 1) / 2, std::min(kMinStealBatch, n));
+    hi_ -= take;
+    first = hi_;
+    size_.store(hi_ - lo_, std::memory_order_relaxed);
     return take;
   }
 
   /// Lock-free size mirror for victim scans. May be momentarily stale;
-  /// steal_half re-validates under the lock.
+  /// pop and steal_half re-validate under the lock.
   [[nodiscard]] std::size_t approx_size() const noexcept {
     return size_.load(std::memory_order_relaxed);
   }
 
  private:
   std::mutex mu_;
-  std::vector<std::uint32_t> items_;
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
   std::atomic<std::size_t> size_{0};
 };
 
-/// The deques plus the stealing loop, independent of who provides the
+/// The lane ranges plus the stealing loop, independent of who provides the
 /// threads. One StealScheduler instance is reused frame after frame (the
-/// worker blocks persist), and a given instance runs one frame at a time.
+/// lane blocks persist), and a given instance runs one frame at a time.
 class StealScheduler {
  public:
-  explicit StealScheduler(unsigned workers, StealPolicy policy = {})
-      : policy_(policy), blocks_(workers == 0 ? 1 : workers) {
+  explicit StealScheduler(unsigned workers)
+      : blocks_(workers == 0 ? 1 : workers) {
     FE_EXPECTS(workers >= 1);
   }
 
-  /// Load a frame: `order` is a permutation of [0, n) (the locality-ordered
-  /// tile sequence) and `runs` the initial split — worker w starts with
-  /// order[runs[w]..runs[w+1]). `runs` must have one entry more than the
-  /// scheduler has workers, with runs[0] == 0 and runs.back() == n.
-  void begin_frame(const std::uint32_t* order, std::size_t n,
-                   const std::vector<std::size_t>& runs) {
-    FE_EXPECTS(runs.size() == blocks_.size() + 1);
-    FE_EXPECTS(runs.front() == 0 && runs.back() == n);
-    remaining_.store(n, std::memory_order_relaxed);
+  /// Load a frame of runs.back() tiles: lane w starts with positions
+  /// [runs[w], runs[w+1]). `runs` must have one entry more than the
+  /// scheduler has lanes, start at 0 and never decrease.
+  void begin_frame(const std::vector<std::size_t>& runs) {
+    FE_EXPECTS(runs.size() == blocks_.size() + 1 && runs.front() == 0);
+    remaining_.store(runs.back(), std::memory_order_relaxed);
     for (std::size_t w = 0; w < blocks_.size(); ++w) {
       FE_EXPECTS(runs[w] <= runs[w + 1]);
-      // Size the queue and the steal scratch for the whole frame: a steal
-      // or a parked loot run never holds more than n items, so the frame
-      // loop stays allocation-free however the frame's steals fall out
-      // (not only after warmup frames happened to hit the largest steal).
-      blocks_[w].queue.reserve(n);
-      blocks_[w].loot.reserve(n);
-      blocks_[w].queue.assign(order, runs[w], runs[w + 1]);
-      blocks_[w].foreign = false;
-      blocks_[w].local = 0;
-      blocks_[w].stolen = 0;
-      blocks_[w].steals = 0;
+      Block& b = blocks_[w];
+      b.tiles.assign(runs[w], runs[w + 1]);
+      b.foreign = false;
+      b.local = 0;
+      b.stolen = 0;
+      b.steals = 0;
     }
   }
 
-  /// Worker `w`'s frame loop: drain the own queue, then steal until every
-  /// tile of the frame has been claimed. `fn(index)` must not throw: a
-  /// tile that throws would never be counted, and the other workers would
+  /// Lane `w`'s frame loop: drain the own range, then steal until every
+  /// tile of the frame has been claimed. `fn(pos)` must not throw: a
+  /// tile that throws would never be counted, and the other lanes would
   /// wait for it forever (catch at the call site, as CpuBackend does).
   template <class Fn>
   void work(unsigned w, Fn&& fn) {
     Block& self = blocks_[w];
-    std::uint32_t item = 0;
+    std::size_t pos = 0;
     for (;;) {
-      // Own queue first: traverses the locality-ordered run in order. The
-      // queue holds either the initial run or parked loot (never both;
-      // loot is only parked once the run is drained), so `foreign` tells
-      // which counter an execution belongs to — local + stolen across all
-      // workers sums to exactly the frame's tile count.
-      while (self.queue.pop(item)) {
+      // Own range first, in schedule order. It holds either the initial
+      // run or one parked stolen batch (never both; a batch is parked only
+      // once the run is drained), so `foreign` tells which counter a tile
+      // belongs to — local + stolen across all lanes sums to exactly the
+      // frame's tile count.
+      while (self.tiles.pop(pos)) {
         ++(self.foreign ? self.stolen : self.local);
-        fn(static_cast<std::size_t>(item));
+        fn(pos);
         remaining_.fetch_sub(1, std::memory_order_acq_rel);
       }
       if (remaining_.load(std::memory_order_acquire) == 0) return;
-      // Steal half of the largest visible queue: the victim with the most
+      // Steal half of the largest visible range: the victim with the most
       // work left is both the best balance repair and keeps the stolen
       // half contiguous in schedule order. The scan reads the relaxed size
-      // mirrors — no locks — and the policy floor leaves short runs to
-      // their owners instead of thrashing over the tail.
+      // mirrors — no locks — and the floor leaves short runs to their
+      // owners instead of thrashing over the tail.
       std::size_t victim = blocks_.size();
       std::size_t victim_size = 0;
       for (std::size_t v = 0; v < blocks_.size(); ++v) {
         if (v == w) continue;
-        const std::size_t sz = blocks_[v].queue.approx_size();
+        const std::size_t sz = blocks_[v].tiles.approx_size();
         if (sz > victim_size) {
           victim = v;
           victim_size = sz;
         }
       }
-      if (victim == blocks_.size() || victim_size < policy_.steal_floor) {
-        // Nothing worth stealing; another worker may still be executing
-        // its last tiles (remaining_ > 0). Yield instead of spinning hard:
-        // the wait is bounded by a few tiles' execution time.
+      if (victim == blocks_.size() || victim_size < kStealFloor) {
+        // Nothing worth stealing; another lane may still be executing its
+        // last tiles (remaining_ > 0). Yield instead of spinning hard: the
+        // wait is bounded by a few tiles' execution time.
         if (remaining_.load(std::memory_order_acquire) == 0) return;
         std::this_thread::yield();
         continue;
       }
-      const std::size_t got = blocks_[victim].queue.steal_half(
-          self.loot, policy_.steal_floor, policy_.min_batch);
+      std::size_t first = 0;
+      const std::size_t got = blocks_[victim].tiles.steal_half(first);
       if (got == 0) continue;  // raced with the victim draining; rescan
+      // Park the batch as the own range (empty here: only its owner ever
+      // refills a range), to run in schedule order while other lanes can
+      // still steal from it. Its tiles count as stolen.
       ++self.steals;
-      ++self.stolen;  // the first looted tile, run below
-      // Run the first looted tile now; park the rest in the own queue
-      // (preserving their schedule order) where they stay stealable. The
-      // own queue is empty here — only the owner ever refills it — and is
-      // foreign from now on: pops of parked loot count as stolen.
-      if (got > 1) self.queue.assign(self.loot.data(), 1, got);
       self.foreign = true;
-      const std::uint32_t first = self.loot.front();
-      fn(static_cast<std::size_t>(first));
-      remaining_.fetch_sub(1, std::memory_order_acq_rel);
+      self.tiles.assign(first, first + got);
     }
   }
 
@@ -254,32 +222,28 @@ class StealScheduler {
   }
 
  private:
-  /// Per-worker state, padded so that one worker's queue mutations never
+  /// Per-lane state, padded so that one lane's range updates never
   /// false-share with a neighbour's counters.
   struct alignas(util::kCacheLine) Block {
-    StealQueue queue;
-    std::vector<std::uint32_t> loot;  ///< steal scratch, reused per worker
-    bool foreign = false;  ///< queue currently holds parked loot
+    TileRange tiles;
+    bool foreign = false;  ///< tiles holds a parked stolen batch
     std::size_t local = 0;
     std::size_t stolen = 0;
     std::size_t steals = 0;
   };
 
-  StealPolicy policy_;
   std::vector<Block> blocks_;
   std::atomic<std::size_t> remaining_{0};
 };
 
-/// One frame of one stream, loaded onto a StreamScheduler slot: the tile
-/// indices in schedule order plus the callbacks that execute one tile and
-/// retire the frame. Both callbacks must not throw — the executor layer
-/// wraps kernels with its own error slot.
+/// One frame of one stream, loaded onto a StreamScheduler slot: its tile
+/// count plus the callbacks that execute one tile (by schedule position)
+/// and retire the frame. Both callbacks must not throw — the executor
+/// layer wraps kernels with its own error slot.
 struct StreamJob {
-  /// Tile indices in schedule order. Read in place until the job retires.
-  const std::uint32_t* order = nullptr;
   std::size_t count = 0;                 ///< tiles in the frame
   void* env = nullptr;                   ///< passed through to the callbacks
-  void (*run)(void* env, std::uint32_t item, unsigned worker) = nullptr;
+  void (*run)(void* env, std::size_t pos, unsigned worker) = nullptr;
   /// Called exactly once per job, by the worker that finishes the frame's
   /// last tile, after the slot has gone idle — so posting the stream's
   /// next frame from inside retire is legal. `frame` carries the frame's
@@ -289,16 +253,16 @@ struct StreamJob {
 
 /// Hybrid frame×tile scheduler: the multi-stream generalization of
 /// StealScheduler. Where the single-frame scheduler splits ONE tile run
-/// across W worker deques, this one holds S stream slots, each carrying at
+/// across W lane ranges, this one holds S stream slots, each carrying at
 /// most one in-flight frame as a single locality-ordered run:
 ///
 ///  * a free worker claims the OLDEST posted unowned frame (FIFO over post
 ///    order — the fairness rule) and becomes its owner, walking the run in
-///    schedule order (owner-LIFO pops, exactly like a steal deque);
+///    schedule order (owner pops, exactly like a StealScheduler lane);
 ///  * a worker that finds no claimable frame steals a tile batch from the
-///    largest visible range across ALL streams (subject to the StealPolicy
-///    floor), so big frames recruit idle workers while small frames stay
-///    cache-local on one core;
+///    largest visible range across ALL streams (subject to kStealFloor),
+///    runs it at once, far end first, so big frames recruit idle workers
+///    while small frames stay cache-local on one core;
 ///  * the worker that executes a frame's last tile retires it: counters
 ///    are snapshotted and reset, the slot goes idle, and the job's retire
 ///    callback runs (typically posting the stream's next queued frame).
@@ -306,19 +270,18 @@ struct StreamJob {
 /// Slot storage is fixed at construction (max_slots), so worker scans
 /// never race a reallocation: create_slot/destroy_slot just flip a state
 /// atomic, which makes concurrent stream add/remove safe while serving.
-/// A slot's unclaimed tiles are a range of positions in its job's order
-/// array, so a steal copies nothing and no worker owns scratch that a
-/// larger frame would have to grow: serving allocates nothing, however late
-/// a worker first steals. One frame at a time per slot is the caller's
-/// contract (checked).
+/// A slot's unclaimed tiles are a TileRange of its frame's positions, so a
+/// steal copies nothing and no worker owns scratch that a larger frame
+/// would have to grow: serving allocates nothing, however late a worker
+/// first steals. One frame at a time per slot is the caller's contract
+/// (checked).
 class StreamScheduler {
  public:
   static constexpr std::size_t kNoSlot =
       std::numeric_limits<std::size_t>::max();
 
-  StreamScheduler(unsigned workers, std::size_t max_slots,
-                  StealPolicy policy = {})
-      : policy_(policy), slots_(max_slots), workers_(workers) {
+  StreamScheduler(unsigned workers, std::size_t max_slots)
+      : slots_(max_slots), workers_(workers) {
     FE_EXPECTS(workers >= 1 && max_slots >= 1);
   }
 
@@ -349,7 +312,7 @@ class StreamScheduler {
   /// callback is the natural place to post the next frame).
   void post(std::size_t s, const StreamJob& job) {
     FE_EXPECTS(s < slots_.size());
-    FE_EXPECTS(job.run != nullptr && job.order != nullptr && job.count > 0);
+    FE_EXPECTS(job.run != nullptr && job.count > 0);
     Slot& slot = slots_[s];
     FE_EXPECTS(slot.state.load(std::memory_order_acquire) == kIdle);
     slot.job = job;
@@ -358,7 +321,7 @@ class StreamScheduler {
     slot.remaining.store(job.count, std::memory_order_relaxed);
     // The range mutex inside assign() orders everything above before any
     // pop or steal that yields this frame's items.
-    slot.tiles.assign(job.count);
+    slot.tiles.assign(0, job.count);
     slot.state.store(kActive, std::memory_order_release);
     {
       const std::scoped_lock lock(mu_);
@@ -403,55 +366,6 @@ class StreamScheduler {
   static constexpr int kIdle = 1;    ///< slot assigned, no job in flight
   static constexpr int kActive = 2;  ///< job posted and not yet retired
   static constexpr unsigned kNoOwner = std::numeric_limits<unsigned>::max();
-
-  /// A posted frame's unclaimed tiles: positions [lo, hi) of its job's
-  /// order array. The owner pops from lo, thieves take batches from hi, so
-  /// the unclaimed tiles always stay one contiguous range.
-  class TileRange {
-   public:
-    void assign(std::size_t n) {
-      const std::scoped_lock lock(mu_);
-      lo_ = 0;
-      hi_ = n;
-      size_.store(n, std::memory_order_relaxed);
-    }
-
-    /// Owner pop: the next position in schedule order. False when empty.
-    bool pop(std::size_t& pos) {
-      const std::scoped_lock lock(mu_);
-      if (lo_ == hi_) return false;
-      pos = lo_++;
-      size_.store(hi_ - lo_, std::memory_order_relaxed);
-      return true;
-    }
-
-    /// Steal ceil(half) — at least min(min_batch, size) — of the remaining
-    /// positions from the far end, unless fewer than `floor` remain, in
-    /// which case nothing is taken. The batch is [first, first + taken).
-    std::size_t steal_half(std::size_t& first, std::size_t floor,
-                           std::size_t min_batch) {
-      const std::scoped_lock lock(mu_);
-      const std::size_t n = hi_ - lo_;
-      if (n == 0 || n < floor) return 0;
-      const std::size_t take = std::max((n + 1) / 2, std::min(min_batch, n));
-      hi_ -= take;
-      first = hi_;
-      size_.store(hi_ - lo_, std::memory_order_relaxed);
-      return take;
-    }
-
-    /// Lock-free size mirror for victim scans. May be momentarily stale;
-    /// pop and steal_half re-validate under the lock.
-    [[nodiscard]] std::size_t approx_size() const noexcept {
-      return size_.load(std::memory_order_relaxed);
-    }
-
-   private:
-    std::mutex mu_;
-    std::size_t lo_ = 0;
-    std::size_t hi_ = 0;
-    std::atomic<std::size_t> size_{0};
-  };
 
   /// One stream's in-flight frame. Counter ownership: `local` is written
   /// only by the slot's current owner and read/reset only by the retiring
@@ -518,7 +432,7 @@ class StreamScheduler {
       ++slot.local;
       const StreamJob job = slot.job;
       const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-      job.run(job.env, job.order[pos], w);
+      job.run(job.env, pos, w);
       finish_item(slot);
       if (seq != claimed_seq) break;
     }
@@ -529,8 +443,7 @@ class StreamScheduler {
   /// Steal a tile batch from the largest visible range across all streams
   /// and run it. A stolen batch belongs to exactly one frame (a range only
   /// ever holds the posted frame's positions), and the thief's unfinished
-  /// items pin that frame, so the job copy and its order array are stable
-  /// for the whole batch.
+  /// items pin that frame, so the job copy is stable for the whole batch.
   bool steal_one(unsigned w) {
     for (int attempt = 0; attempt < 3; ++attempt) {
       std::size_t victim = kNoSlot;
@@ -544,19 +457,18 @@ class StreamScheduler {
           victim_size = sz;
         }
       }
-      if (victim == kNoSlot || victim_size < policy_.steal_floor)
+      if (victim == kNoSlot || victim_size < kStealFloor)
         return false;
       Slot& slot = slots_[victim];
       std::size_t first = 0;
-      const std::size_t got =
-          slot.tiles.steal_half(first, policy_.steal_floor, policy_.min_batch);
+      const std::size_t got = slot.tiles.steal_half(first);
       if (got == 0) continue;  // raced with the owner draining; rescan
       const StreamJob job = slot.job;
       slot.steals.fetch_add(1, std::memory_order_relaxed);
       slot.stolen.fetch_add(got, std::memory_order_relaxed);
       // Far end first: the batch runs toward the owner's position.
       for (std::size_t i = first + got; i > first; --i) {
-        job.run(job.env, job.order[i - 1], w);
+        job.run(job.env, i - 1, w);
         finish_item(slot);
       }
       return true;
@@ -582,7 +494,6 @@ class StreamScheduler {
     if (job.retire != nullptr) job.retire(job.env, frame);
   }
 
-  StealPolicy policy_;
   std::vector<Slot> slots_;
   unsigned workers_;
   std::atomic<std::uint64_t> next_seq_{0};

@@ -57,7 +57,7 @@ StreamExecutor::StreamExecutor(par::ThreadPool& pool,
                                StreamExecutorOptions options)
     : options_(options),
       scheduler_(options.lanes == 0 ? pool.size() : options.lanes,
-                 options.max_streams, options.steal) {
+                 options.max_streams) {
   FE_EXPECTS(options_.max_streams >= 1);
   FE_EXPECTS(options_.queue_depth >= 1);
   FE_EXPECTS(options_.lanes <= pool.size());
@@ -227,15 +227,14 @@ void StreamExecutor::activate_locked_(Stream& s, const PendingFrame& frame) {
   s.active.started.store(false, std::memory_order_relaxed);
 
   par::StreamJob job;
-  job.order = plan.workspace().steal_order.data();
-  job.count = plan.workspace().steal_order.size();
+  job.count = plan.tiles().size();
   job.env = &s;
   job.run = &run_tile_;
   job.retire = &retire_frame_;
   scheduler_.post(s.slot, job);
 }
 
-void StreamExecutor::run_tile_(void* env, std::uint32_t item,
+void StreamExecutor::run_tile_(void* env, std::size_t pos,
                                unsigned /*worker*/) {
   auto* s = static_cast<Stream*>(env);
   Stream::Active& a = s->active;
@@ -244,14 +243,14 @@ void StreamExecutor::run_tile_(void* env, std::uint32_t item,
     a.start_time = s->owner->epoch_.elapsed_seconds();
   const rt::Stopwatch sw;
   try {
-    a.plan->kernel()(a.src, a.dst, a.plan->tiles()[item]);
+    a.plan->kernel()(a.src, a.dst, a.plan->tiles()[pos]);
   } catch (...) {
     // Kernels only throw on contract violations; keep the first one for
     // drain() — the scheduler itself must never see an exception.
     const std::scoped_lock lock(s->owner->error_mu_);
     if (!s->owner->error_) s->owner->error_ = std::current_exception();
   }
-  a.plan->instrumentation().tile_seconds[item] = sw.elapsed_seconds();
+  a.plan->instrumentation().tile_seconds[pos] = sw.elapsed_seconds();
 }
 
 void StreamExecutor::retire_frame_(void* env, const par::StealStats& frame) {

@@ -9,8 +9,8 @@
 // the hybrid: every stream keeps its own ExecutionPlan (tile order,
 // workspace arena, instrumentation — its cache-warm state), and ALL
 // streams share one set of lanes through a par::StreamScheduler —
-// frames are claimed FIFO across streams (fairness), a frame's tiles run
-// owner-LIFO in source-locality order (cache), and idle workers steal tile
+// frames are claimed FIFO across streams (fairness), a frame's owner walks
+// its tiles in source-locality order (cache), and idle workers steal tile
 // batches across streams (utilization).
 //
 //   par::ThreadPool pool(8);
@@ -24,9 +24,9 @@
 //
 // Steady state allocates nothing: per-stream arenas (plan workspace,
 // instrumentation slots, the pending-frame ring) are sized when the stream
-// is added, and the scheduler's queues/loot buffers reach their peak
-// capacity within the first frames — the operator-new-counting test pins
-// this with M concurrent streams.
+// is added, and the scheduler's slots are fixed at construction and steal
+// by moving range bounds — the operator-new-counting test pins this with M
+// concurrent streams.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +67,6 @@ struct StreamExecutorOptions {
   /// A frame waiting longer than this between submit and its first
   /// executed tile counts as a starvation event in rt::StreamStats.
   double starvation_wait_seconds = 0.25;
-  par::StealPolicy steal;  ///< cross-stream steal granularity
   /// Pool lanes dedicated to this executor (0 = every lane). Sizing it
   /// below the pool's lane count lets several executors — multi-source
   /// serving — split one ThreadPool: the lane sums of all services on the
@@ -161,7 +160,7 @@ class StreamExecutor {
   struct Stream;
 
   // par::StreamJob trampolines (env = Stream*).
-  static void run_tile_(void* env, std::uint32_t item, unsigned worker);
+  static void run_tile_(void* env, std::size_t pos, unsigned worker);
   static void retire_frame_(void* env, const par::StealStats& frame);
 
   StreamId register_(std::unique_ptr<Stream> s);

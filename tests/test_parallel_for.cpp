@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <ostream>
@@ -35,13 +34,9 @@ void run_schedule(ThreadPool& pool, std::size_t n, const Body& body,
     });
   } else if (schedule == Schedule::Steal) {
     const std::size_t items = (n + chunk - 1) / chunk;
-    std::vector<std::uint32_t> order(items);
-    std::iota(order.begin(), order.end(), 0u);
     StealScheduler steal(lanes);
-    steal.begin_frame(order.data(), items,
-                      balanced_runs(items, lanes, [](std::size_t) {
-                        return 1.0;
-                      }));
+    steal.begin_frame(
+        balanced_runs(items, lanes, [](std::size_t) { return 1.0; }));
     pool.run([&](unsigned lane) {
       steal.work(lane, [&](std::size_t i) {
         body(i * chunk, std::min(i * chunk + chunk, n));

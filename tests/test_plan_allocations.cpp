@@ -238,7 +238,7 @@ TEST(PlanAllocations, OpenMpSchedulesAreAllocationFree) {
 TEST(PlanAllocations, StreamExecutorMultiStreamIsAllocationFree) {
   // The multi-stream guarantee: M streams in concurrent flight, and once
   // the per-stream arenas (plan workspace, instrumentation, pending ring)
-  // and the scheduler's queue/loot capacities are warm, steady-state
+  // and the scheduler's internals are warm, steady-state
   // service allocates nothing — submit, tile execution, stealing, retire,
   // and wait included.
   par::ThreadPool pool(2);
@@ -267,7 +267,7 @@ TEST(PlanAllocations, StreamExecutorMultiStreamIsAllocationFree) {
     // the others retire before or while we sleep.
     exec.wait(ids.back(), last);
   };
-  for (int i = 0; i < 6; ++i) round();  // warm queues, loot, cv internals
+  for (int i = 0; i < 6; ++i) round();  // warm rings and cv internals
   exec.drain();
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);

@@ -4,8 +4,11 @@
 
 #include <vector>
 
+#include "accel/accel_backend.hpp"
 #include "accel/spe_platform.hpp"
+#include "core/backend_registry.hpp"
 #include "core/corrector.hpp"
+#include "core/projection.hpp"
 #include "core/remap.hpp"
 #include "image/metrics.hpp"
 #include "image/synth.hpp"
@@ -156,6 +159,40 @@ TEST(SpePlatform, UtilizationIsAFraction) {
   EXPECT_LE(stats.utilization, 1.0);
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_EQ(stats.bytes_out, 160u * 120u);
+}
+
+TEST(SpePlatform, StealScheduleModelIsPinned) {
+  // The steal schedule's modeled frame on a skewed workload: an off-axis
+  // PTZ view (as in F18) puts the fill on one side, so small tiles leave
+  // some SPEs idle early and they steal. The figures pin the schedule
+  // itself — which SPE runs which tile, in which order — so any change to
+  // the run split, the victim choice or the steal size shows up here.
+  const int w = 320, h = 180;
+  const auto cam = core::FisheyeCamera::centered(core::LensKind::Equidistant,
+                                                 deg_to_rad(100.0), w, h);
+  const core::WarpMap map = core::build_map(
+      cam, core::PerspectiveView::ptz(384, 216, deg_to_rad(75.0),
+                                      deg_to_rad(5.0), deg_to_rad(110.0)));
+  const img::Image8 src = img::make_rings(w, h, 9);
+  img::Image8 out(map.width, map.height, 1);
+  const auto backend =
+      core::BackendRegistry::create("cell:schedule=steal,tile=24x16");
+  auto& cell = dynamic_cast<CellBackend&>(*backend);
+  core::ExecContext ctx;
+  ctx.src = src.view();
+  ctx.dst = out.view();
+  ctx.map = &map;
+  ctx.mode = core::MapMode::FloatLut;
+  ctx.opts = {core::Interp::Bilinear, img::BorderMode::Constant, 0};
+  cell.execute(ctx);
+
+  const AccelFrameStats& s = cell.last_stats();
+  EXPECT_EQ(s.tiles, 224u);
+  EXPECT_EQ(s.steals, 4u);
+  EXPECT_DOUBLE_EQ(s.cycles, 334127.5);
+  EXPECT_DOUBLE_EQ(s.utilization, 0.91734180814210142);
+  EXPECT_EQ(s.bytes_in, 695943u);
+  EXPECT_EQ(s.bytes_out, 82944u);
 }
 
 TEST(SpePlatform, IrreducibleTileThrowsResourceError) {

@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/sync.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -153,35 +152,6 @@ TEST(ThreadPool, DefaultPoolIsSingleton) {
   ThreadPool& a = default_pool();
   ThreadPool& b = default_pool();
   EXPECT_EQ(&a, &b);
-}
-
-TEST(SpinBarrier, SynchronizesParticipants) {
-  constexpr int kThreads = 4;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> before{0};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      before.fetch_add(1);
-      barrier.arrive_and_wait();
-      // After the barrier every participant must have incremented.
-      if (before.load() != kThreads) failures.fetch_add(1);
-      barrier.arrive_and_wait();  // reusable (sense-reversing)
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(CacheAligned, OccupiesFullCacheLine) {
-  static_assert(alignof(CacheAligned<int>) == 64);
-  static_assert(sizeof(CacheAligned<int>) == 64);
-  CacheAligned<int> arr[2];
-  const auto delta = reinterpret_cast<char*>(&arr[1]) -
-                     reinterpret_cast<char*>(&arr[0]);
-  EXPECT_EQ(delta, 64);
 }
 
 TEST(ThreadPoolStress, ManySmallBatches) {

@@ -1,6 +1,7 @@
-// Work-stealing executor invariants: StealQueue ordering and steal-half
+// Work-stealing executor invariants: TileRange ordering and steal-half
 // under concurrent thieves, StealScheduler exactly-once execution with
-// counters that account for every tile, balanced_runs splits, Morton
+// counters that account for every tile and parked batches that stay
+// stealable, balanced_runs splits, Morton
 // ordering as a permutation, and the end-to-end property the plan layer
 // depends on — a Morton-ordered tile schedule covers every output pixel
 // exactly once.
@@ -8,9 +9,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -24,75 +25,74 @@
 namespace fisheye {
 namespace {
 
-// --- StealQueue -------------------------------------------------------------
+// --- TileRange --------------------------------------------------------------
 
-TEST(StealQueue, OwnerPopsTraverseTheRunInScheduleOrder) {
-  par::StealQueue q;
-  const std::uint32_t order[] = {7, 3, 9, 1, 4};
-  q.assign(order, 1, 4);  // run = {3, 9, 1}
-  std::uint32_t item = 0;
-  ASSERT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 3u);
-  ASSERT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 9u);
-  ASSERT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 1u);
-  EXPECT_FALSE(q.pop(item));
+TEST(TileRange, OwnerPopsTraverseTheRunInScheduleOrder) {
+  par::TileRange r;
+  r.assign(1, 4);  // run = positions {1, 2, 3}
+  std::size_t pos = 0;
+  ASSERT_TRUE(r.pop(pos));
+  EXPECT_EQ(pos, 1u);
+  ASSERT_TRUE(r.pop(pos));
+  EXPECT_EQ(pos, 2u);
+  ASSERT_TRUE(r.pop(pos));
+  EXPECT_EQ(pos, 3u);
+  EXPECT_FALSE(r.pop(pos));
 }
 
-TEST(StealQueue, StealHalfTakesTheFarEndOfTheRun) {
-  par::StealQueue q;
-  const std::uint32_t order[] = {0, 1, 2, 3, 4};
-  q.assign(order, 0, 5);
-  std::vector<std::uint32_t> loot;
-  // ceil(5/2) = 3 items from the head = the END of the owner's traversal.
-  EXPECT_EQ(q.steal_half(loot), 3u);
-  EXPECT_EQ(loot, (std::vector<std::uint32_t>{4, 3, 2}));
+TEST(TileRange, StealHalfTakesTheFarEndOfTheRun) {
+  par::TileRange r;
+  r.assign(0, 5);
+  // ceil(5/2) = 3 positions from hi = the END of the owner's traversal.
+  std::size_t first = 0;
+  EXPECT_EQ(r.steal_half(first), 3u);
+  EXPECT_EQ(first, 2u);  // batch = {2, 3, 4}
+  // Two positions left: under the floor, so the owner keeps them.
+  ASSERT_LT(r.approx_size(), par::kStealFloor);
+  EXPECT_EQ(r.steal_half(first), 0u);
   // The owner keeps the front of its run, still in schedule order.
-  std::uint32_t item = 0;
-  ASSERT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 0u);
-  ASSERT_TRUE(q.pop(item));
-  EXPECT_EQ(item, 1u);
-  EXPECT_FALSE(q.pop(item));
-  EXPECT_EQ(q.steal_half(loot), 0u);
+  std::size_t pos = 0;
+  ASSERT_TRUE(r.pop(pos));
+  EXPECT_EQ(pos, 0u);
+  ASSERT_TRUE(r.pop(pos));
+  EXPECT_EQ(pos, 1u);
+  EXPECT_FALSE(r.pop(pos));
+  EXPECT_EQ(r.steal_half(first), 0u);
 }
 
-TEST(StealQueue, ConcurrentThievesAndOwnerClaimEachItemExactlyOnce) {
-  // Hammer one queue from an owner popping and three thieves stealing
-  // halves; every item must be claimed exactly once across all parties.
-  constexpr std::uint32_t kItems = 5000;
-  par::StealQueue q;
-  std::vector<std::uint32_t> order(kItems);
-  std::iota(order.begin(), order.end(), 0u);
-  q.assign(order.data(), 0, kItems);
+TEST(TileRange, ConcurrentThievesAndOwnerClaimEachItemExactlyOnce) {
+  // Hammer one range from an owner popping and three thieves stealing
+  // halves; every position must be claimed exactly once across all parties.
+  constexpr std::size_t kItems = 5000;
+  par::TileRange r;
+  r.assign(0, kItems);
 
   std::vector<std::atomic<int>> claimed(kItems);
   std::atomic<std::size_t> total{0};
-  const auto claim = [&](std::uint32_t item) {
-    claimed[item].fetch_add(1);
+  const auto claim = [&](std::size_t pos) {
+    claimed[pos].fetch_add(1);
     total.fetch_add(1);
   };
 
   std::vector<std::thread> threads;
   threads.emplace_back([&] {  // owner
-    std::uint32_t item = 0;
+    std::size_t pos = 0;
     while (total.load() < kItems)
-      if (q.pop(item)) claim(item);
+      if (r.pop(pos)) claim(pos);
   });
   for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {  // thief: steal, consume the loot, repeat
-      std::vector<std::uint32_t> loot;
+    threads.emplace_back([&] {  // thief: steal, consume the batch, repeat
       while (total.load() < kItems) {
-        const std::size_t got = q.steal_half(loot);
-        for (std::size_t i = 0; i < got; ++i) claim(loot[i]);
+        std::size_t first = 0;
+        const std::size_t got = r.steal_half(first);
+        for (std::size_t i = first; i < first + got; ++i) claim(i);
       }
     });
   }
   for (std::thread& t : threads) t.join();
 
-  for (std::uint32_t i = 0; i < kItems; ++i)
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
+  for (std::size_t i = 0; i < kItems; ++i)
+    ASSERT_EQ(claimed[i].load(), 1) << "position " << i;
 }
 
 // --- balanced_runs ----------------------------------------------------------
@@ -135,9 +135,8 @@ TEST(BalancedRuns, MoreWorkersThanItemsLeavesTailRunsEmpty) {
 /// One frame of `steal` on every lane of `pool`, as CpuBackend runs it.
 template <class Fn>
 par::StealStats run_frame(par::ThreadPool& pool, par::StealScheduler& steal,
-                          const std::vector<std::uint32_t>& order,
                           const std::vector<std::size_t>& runs, Fn&& fn) {
-  steal.begin_frame(order.data(), order.size(), runs);
+  steal.begin_frame(runs);
   pool.run([&](unsigned lane) { steal.work(lane, fn); });
   return steal.stats();
 }
@@ -148,14 +147,12 @@ TEST(StealScheduler, RunsEveryIndexExactlyOnceUnderSkewedRuns) {
   constexpr std::size_t kN = 2000;
   par::ThreadPool pool(4);
   par::StealScheduler steal(pool.size());
-  std::vector<std::uint32_t> order(kN);
-  std::iota(order.begin(), order.end(), 0u);
   std::vector<std::size_t> runs(pool.size() + 1, kN);
   runs[0] = 0;  // worker 0 owns everything
 
   std::vector<std::atomic<int>> hits(kN);
   const par::StealStats stats = run_frame(
-      pool, steal, order, runs, [&](std::size_t i) { hits[i].fetch_add(1); });
+      pool, steal, runs, [&](std::size_t i) { hits[i].fetch_add(1); });
 
   for (std::size_t i = 0; i < kN; ++i)
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
@@ -165,19 +162,17 @@ TEST(StealScheduler, RunsEveryIndexExactlyOnceUnderSkewedRuns) {
 
 TEST(StealScheduler, BalancedRunsExecuteRepeatedFrames) {
   // The backends' steady-state shape: one scheduler reused frame after
-  // frame with the same order and runs.
+  // frame with the same runs.
   constexpr std::size_t kN = 500;
   par::ThreadPool pool(3);
   par::StealScheduler steal(pool.size());
-  std::vector<std::uint32_t> order(kN);
-  std::iota(order.begin(), order.end(), 0u);
   const std::vector<std::size_t> runs =
       par::balanced_runs(kN, pool.size(), [](std::size_t) { return 1.0; });
 
   for (int frame = 0; frame < 5; ++frame) {
     std::vector<std::atomic<int>> hits(kN);
     const par::StealStats stats =
-        run_frame(pool, steal, order, runs,
+        run_frame(pool, steal, runs,
                   [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i)
       ASSERT_EQ(hits[i].load(), 1) << "frame " << frame << " index " << i;
@@ -188,16 +183,64 @@ TEST(StealScheduler, BalancedRunsExecuteRepeatedFrames) {
 TEST(StealScheduler, SingleWorkerRunsEverythingLocally) {
   par::ThreadPool pool(1);
   par::StealScheduler steal(pool.size());
-  std::vector<std::uint32_t> order = {0, 1, 2, 3};
   std::vector<std::size_t> visit_order;
   const par::StealStats stats =
-      run_frame(pool, steal, order, {0, 4},
+      run_frame(pool, steal, {0, 4},
                 [&](std::size_t i) { visit_order.push_back(i); });
   // One worker, no one to steal from: schedule order is preserved exactly.
   EXPECT_EQ(visit_order, (std::vector<std::size_t>{0, 1, 2, 3}));
   EXPECT_EQ(stats.local, 4u);
   EXPECT_EQ(stats.stolen, 0u);
   EXPECT_EQ(stats.steals, 0u);
+}
+
+TEST(StealScheduler, ParkedBatchIsStolenAgain) {
+  // Lane 0 owns all 64 tiles. It holds its first tile until lane 1 has
+  // stolen and started a tile; lane 1 holds that tile until lane 0 runs a
+  // tile from the upper half. Lane 0 can only reach the upper half by
+  // stealing from the batch lane 1 parked, so the parked batch must stay
+  // stealable while its thief is busy.
+  constexpr std::size_t kN = 64;
+  par::ThreadPool pool(2);
+  par::StealScheduler steal(pool.size());
+  std::atomic<bool> lane1_ran{false};
+  std::atomic<bool> lane0_upper{false};
+  std::atomic<bool> timed_out{false};
+  const auto wait_for = [&](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!flag.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  };
+
+  std::vector<std::atomic<int>> hits(kN);
+  steal.begin_frame({0, kN, kN});
+  pool.run([&](unsigned lane) {
+    bool first = true;
+    steal.work(lane, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      if (lane == 0) {
+        if (i >= kN / 2) lane0_upper.store(true);
+        if (first) wait_for(lane1_ran);
+      } else {
+        lane1_ran.store(true);
+        if (first) wait_for(lane0_upper);
+      }
+      first = false;
+    });
+  });
+  const par::StealStats stats = steal.stats();
+
+  EXPECT_FALSE(timed_out.load());
+  for (std::size_t i = 0; i < kN; ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_EQ(stats.local + stats.stolen, kN);
+  EXPECT_GE(stats.steals, 2u);
 }
 
 // --- Morton ordering --------------------------------------------------------
