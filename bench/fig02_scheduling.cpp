@@ -29,7 +29,7 @@ bench::BackendRun run_map_spec(const core::WarpMap& map,
   core::ExecContext ctx;
   ctx.src = src;
   ctx.dst = dst;
-  ctx.map = &map;
+  ctx.map = map;
   ctx.mode = core::MapMode::FloatLut;
   const core::ExecutionPlan plan = backend->plan(ctx);
   rt::RunStats run =

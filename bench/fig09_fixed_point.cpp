@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const core::ExecContext ref_ctx =
       ref_corr.make_context(src.view(), ref.view());
   const auto per_pixel = [&] {
-    core::remap_rect(ref_ctx.src, ref_ctx.dst, *ref_ctx.map, {0, 0, w, h},
+    core::remap_rect(ref_ctx.src, ref_ctx.dst, ref_ctx.map, {0, 0, w, h},
                      ref_ctx.opts);
   };
   per_pixel();

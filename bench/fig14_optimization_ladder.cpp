@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     const core::ExecContext ctx = lut_corr.make_context(src.view(), out.view());
     add_row("+ float LUT", rt::measure(
                                [&] {
-                                 core::remap_rect(ctx.src, ctx.dst, *ctx.map,
+                                 core::remap_rect(ctx.src, ctx.dst, ctx.map,
                                                   {0, 0, w, h}, ctx.opts);
                                },
                                reps, 1)

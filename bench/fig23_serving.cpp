@@ -11,7 +11,7 @@
 // Sweep: requests/s and p50/p99 request→crop latency vs viewer count
 // (64 → 2048). Ablation at 512 viewers: warm cache vs cold plans
 // (cache_budget=0 — every frame rebuilds its view entries: each window's
-// map copied out of the level LUT, its plan and its output) and coalesced
+// plan over the level LUT, read in place, and its output) and coalesced
 // vs uncoalesced (every request executes alone). The CI smoke job asserts
 // the two ratios: 0.8x <= warm/cold <= 4x (the cache must not slow serving
 // down; the upper bound catches misses recomputing their maps), coalesced
@@ -260,9 +260,10 @@ int main(int argc, char** argv) {
                "overlapping hotspots merge under the union-area guard, so "
                "added viewers cost crop copies, not kernel work. The ablation "
                "shows both mechanisms: cold plans (cache_budget=0) rebuild "
-               "every view entry each frame, but copy its map out of the "
-               "level LUT, key its tiles from the level's block table and "
-               "build while earlier clusters execute, so cold plans run "
+               "every view entry each frame, but read its window of the "
+               "level LUT in place, key its tiles from the level's block "
+               "table and build while earlier clusters execute, so cold "
+               "plans run "
                "close to cached ones (0.8x <= warm/cold <= 4x, near 1x); "
                "uncoalesced serving re-executes every duplicate (coalesced "
                ">= 1.2x).\n";

@@ -45,7 +45,7 @@ void emit_cache_if(core::SpecBuilder& spec, const char* key,
 core::ExecutionPlan CellBackend::plan(const core::ExecContext& ctx) {
   std::shared_ptr<const core::ConvertedMap> converted;
   const core::ExecContext ectx = resolve_map(ctx, converted);
-  FE_EXPECTS((ectx.mode == core::MapMode::FloatLut && ectx.map != nullptr) ||
+  FE_EXPECTS((ectx.mode == core::MapMode::FloatLut && !ectx.map.empty()) ||
              (ectx.mode == core::MapMode::CompactLut &&
               ectx.compact != nullptr));
   FE_EXPECTS(ectx.opts.interp == core::Interp::Bilinear);
@@ -54,7 +54,7 @@ core::ExecutionPlan CellBackend::plan(const core::ExecContext& ctx) {
       ectx.mode == core::MapMode::CompactLut
           ? std::make_shared<CellLikePlatform>(*ectx.compact,
                                                ectx.src.channels, config_)
-          : std::make_shared<CellLikePlatform>(*ectx.map, ectx.src.width,
+          : std::make_shared<CellLikePlatform>(ectx.map, ectx.src.width,
                                                ectx.src.height,
                                                ectx.src.channels, config_);
   std::vector<par::Rect> tiles;
@@ -105,10 +105,10 @@ std::string CellBackend::name() const {
 // --- GPU -------------------------------------------------------------------
 
 core::ExecutionPlan GpuBackend::plan(const core::ExecContext& ctx) {
-  FE_EXPECTS(ctx.mode == core::MapMode::FloatLut && ctx.map != nullptr);
+  FE_EXPECTS(ctx.mode == core::MapMode::FloatLut && !ctx.map.empty());
   FE_EXPECTS(ctx.opts.interp == core::Interp::Bilinear);
   FE_EXPECTS(ctx.opts.border == img::BorderMode::Constant);
-  auto platform = std::make_shared<GpuPlatform>(*ctx.map, config_);
+  auto platform = std::make_shared<GpuPlatform>(ctx.map, config_);
   // The plan tiles are the thread-block grid.
   const int bd = config_.block_dim;
   std::vector<par::Rect> tiles;

@@ -9,8 +9,8 @@
 
 namespace fisheye::accel {
 
-GpuPlatform::GpuPlatform(const core::WarpMap& map, const GpuConfig& config)
-    : map_(&map), config_(config) {
+GpuPlatform::GpuPlatform(core::MapView map, const GpuConfig& config)
+    : map_(map), config_(config) {
   FE_EXPECTS(config.cost.num_sms >= 1 && config.cost.num_sms <= 256);
   FE_EXPECTS(config.block_dim >= 4 && config.block_dim <= 32);
 }
@@ -18,7 +18,7 @@ GpuPlatform::GpuPlatform(const core::WarpMap& map, const GpuConfig& config)
 AccelFrameStats GpuPlatform::run_frame(img::ConstImageView<std::uint8_t> src,
                                        img::ImageView<std::uint8_t> dst,
                                        std::uint8_t fill) {
-  FE_EXPECTS(dst.width == map_->width && dst.height == map_->height);
+  FE_EXPECTS(dst.width == map_.width && dst.height == map_.height);
   FE_EXPECTS(src.channels == dst.channels);
 
   // Functional output: the registry's float-LUT bilinear kernel — the same
@@ -42,7 +42,7 @@ AccelFrameStats GpuPlatform::run_frame(img::ConstImageView<std::uint8_t> src,
   for (int s = 0; s < c.num_sms; ++s) tex.emplace_back(config_.tex_cache);
 
   const std::vector<par::Rect> blocks = par::partition(
-      map_->width, map_->height, par::PartitionKind::Tiles, 0, bd, bd);
+      map_.width, map_.height, par::PartitionKind::Tiles, 0, bd, bd);
 
   double compute_cycles = 0.0;
   std::size_t lut_bytes = 0, out_bytes = 0, tex_miss_bytes = 0;
@@ -55,11 +55,11 @@ AccelFrameStats GpuPlatform::run_frame(img::ConstImageView<std::uint8_t> src,
     BlockCache& cache = tex[b % static_cast<std::size_t>(c.num_sms)];
     const par::Rect& r = blocks[b];
     for (int y = r.y0; y < r.y1; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * map_->width;
+      const std::size_t row = static_cast<std::size_t>(y) * map_.pitch;
       for (int x = r.x0; x < r.x1; ++x) {
         compute_cycles += c.issue_cycles_per_pixel * ch;
-        const float sx = map_->src_x[row + x];
-        const float sy = map_->src_y[row + x];
+        const float sx = map_.src_x[row + x];
+        const float sy = map_.src_y[row + x];
         if (sx <= -1.0f || sy <= -1.0f ||
             sx >= static_cast<float>(src.width) ||
             sy >= static_cast<float>(src.height))

@@ -50,8 +50,8 @@ struct GpuConfig {
 
 class GpuPlatform {
  public:
-  /// `map` must outlive the platform.
-  GpuPlatform(const core::WarpMap& map, const GpuConfig& config);
+  /// The map `map` views must outlive the platform.
+  GpuPlatform(core::MapView map, const GpuConfig& config);
 
   /// Simulate one frame (bilinear, constant fill); returns modeled timing.
   AccelFrameStats run_frame(img::ConstImageView<std::uint8_t> src,
@@ -61,7 +61,7 @@ class GpuPlatform {
   [[nodiscard]] const GpuConfig& config() const noexcept { return config_; }
 
  private:
-  const core::WarpMap* map_;
+  core::MapView map_;
   GpuConfig config_;
 };
 

@@ -12,10 +12,10 @@
 
 namespace fisheye::accel {
 
-CellLikePlatform::CellLikePlatform(const core::WarpMap& map, int src_width,
+CellLikePlatform::CellLikePlatform(core::MapView map, int src_width,
                                    int src_height, int channels,
                                    const SpeConfig& config)
-    : map_(&map),
+    : map_(map),
       cmap_(nullptr),
       out_width_(map.width),
       out_height_(map.height),
@@ -28,8 +28,7 @@ CellLikePlatform::CellLikePlatform(const core::WarpMap& map, int src_width,
 
 CellLikePlatform::CellLikePlatform(const core::CompactMap& map, int channels,
                                    const SpeConfig& config)
-    : map_(nullptr),
-      cmap_(&map),
+    : cmap_(&map),
       out_width_(map.width),
       out_height_(map.height),
       src_width_(map.src_width),
@@ -71,14 +70,14 @@ void CellLikePlatform::init() {
     std::vector<float> tm;
     tm.reserve(static_cast<std::size_t>(t.out.area()) * 2);
     for (int y = t.out.y0; y < t.out.y1; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * map_->width;
+      const std::size_t row = static_cast<std::size_t>(y) * map_.pitch;
       for (int x = t.out.x0; x < t.out.x1; ++x)
-        tm.push_back(map_->src_x[row + x]);
+        tm.push_back(map_.src_x[row + x]);
     }
     for (int y = t.out.y0; y < t.out.y1; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * map_->width;
+      const std::size_t row = static_cast<std::size_t>(y) * map_.pitch;
       for (int x = t.out.x0; x < t.out.x1; ++x)
-        tm.push_back(map_->src_y[row + x]);
+        tm.push_back(map_.src_y[row + x]);
     }
     tile_maps_.push_back(std::move(tm));
   }
@@ -116,7 +115,7 @@ std::size_t CellLikePlatform::working_set(par::Rect out,
 void CellLikePlatform::decompose(par::Rect rect, int depth) {
   const par::Rect box =
       cmap_ ? core::source_bbox(*cmap_, rect)
-            : core::source_bbox(*map_, rect, src_width_, src_height_);
+            : core::source_bbox(map_, rect, src_width_, src_height_);
   const std::size_t ws = working_set(rect, box);
   // Keep ~2 KB headroom for code/stack the way a real SPE budget would.
   const std::size_t budget = config_.local_store_bytes - 2048;
@@ -138,10 +137,10 @@ void CellLikePlatform::decompose(par::Rect rect, int depth) {
                        : 0;
     } else {
       for (int y = rect.y0; y < rect.y1; ++y) {
-        const std::size_t row = static_cast<std::size_t>(y) * map_->width;
+        const std::size_t row = static_cast<std::size_t>(y) * map_.pitch;
         for (int x = rect.x0; x < rect.x1; ++x) {
-          const float sx = map_->src_x[row + x];
-          const float sy = map_->src_y[row + x];
+          const float sx = map_.src_x[row + x];
+          const float sy = map_.src_y[row + x];
           valid += (sx > -1.0f && sy > -1.0f &&
                     sx < static_cast<float>(src_width_) &&
                     sy < static_cast<float>(src_height_))

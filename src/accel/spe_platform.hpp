@@ -76,9 +76,10 @@ struct SpeTile {
 class CellLikePlatform {
  public:
   /// Decomposes the frame and reorganizes `map` into tile-contiguous
-  /// layout (the one-time setup a real port performs). `map` must outlive
-  /// the platform. Channels is the pixel channel count frames will have.
-  CellLikePlatform(const core::WarpMap& map, int src_width, int src_height,
+  /// layout (the one-time setup a real port performs). The map `map` views
+  /// must outlive the platform. Channels is the pixel channel count frames
+  /// will have.
+  CellLikePlatform(core::MapView map, int src_width, int src_height,
                    int channels, const SpeConfig& config);
 
   /// Compact-map variant: tiles carry stride x stride grid slices instead
@@ -126,7 +127,7 @@ class CellLikePlatform {
   /// the grid slice (compact mode).
   [[nodiscard]] std::size_t map_slice_bytes(par::Rect out) const noexcept;
 
-  const core::WarpMap* map_;            ///< float mode; null in compact mode
+  core::MapView map_;                   ///< float mode; empty in compact mode
   const core::CompactMap* cmap_;        ///< compact mode; null in float mode
   int out_width_;
   int out_height_;

@@ -25,7 +25,7 @@ struct ClusterPlanState {
 }  // namespace
 
 core::ExecutionPlan ClusterSimBackend::plan(const core::ExecContext& ctx) {
-  FE_EXPECTS(ctx.mode == core::MapMode::FloatLut && ctx.map != nullptr);
+  FE_EXPECTS(ctx.mode == core::MapMode::FloatLut && !ctx.map.empty());
   FE_EXPECTS(ctx.opts.interp == core::Interp::Bilinear);
   FE_EXPECTS(ctx.opts.border == img::BorderMode::Constant);
   FE_EXPECTS(config_.ranks >= 1 && config_.ranks <= 1024);
@@ -44,7 +44,7 @@ core::ExecutionPlan ClusterSimBackend::plan(const core::ExecContext& ctx) {
     if (config_.distribution == Distribution::FullBroadcast)
       state->windows.push_back({0, 0, ctx.src.width, ctx.src.height});
     else
-      state->windows.push_back(core::source_bbox(*ctx.map, strip,
+      state->windows.push_back(core::source_bbox(ctx.map, strip,
                                                  ctx.src.width,
                                                  ctx.src.height));
   }

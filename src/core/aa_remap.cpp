@@ -44,7 +44,7 @@ inline std::uint8_t round_u8(float v) noexcept {
 
 }  // namespace
 
-float map_lod(const WarpMap& map, int x, int y, float max_lod) noexcept {
+float map_lod(MapView map, int x, int y, float max_lod) noexcept {
   // Central differences where possible, one-sided at the frame edge.
   const int xm = x > 0 ? x - 1 : x;
   const int xp = x + 1 < map.width ? x + 1 : x;
@@ -70,7 +70,7 @@ float map_lod(const WarpMap& map, int x, int y, float max_lod) noexcept {
 }
 
 void remap_aa_rect(const img::Pyramid& pyramid,
-                   img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                   img::ImageView<std::uint8_t> dst, MapView map,
                    par::Rect rect, std::uint8_t fill) {
   FE_EXPECTS(pyramid.channels() == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
@@ -83,7 +83,7 @@ void remap_aa_rect(const img::Pyramid& pyramid,
   float lo[4], hi[4];
 
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
+    const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* out_row = dst.row(y);
     for (int x = rect.x0; x < rect.x1; ++x) {
       const float sx = map.src_x[row + x];

@@ -18,12 +18,12 @@ namespace fisheye::core {
 /// Per-pixel LOD for output pixel (x, y): log2 of the larger axis of the
 /// source-space footprint, from central differences of the map. Clamped to
 /// [0, max_lod]. Exposed for tests and for precomputed-LOD pipelines.
-float map_lod(const WarpMap& map, int x, int y, float max_lod) noexcept;
+float map_lod(MapView map, int x, int y, float max_lod) noexcept;
 
 /// Remap `rect` sampling `pyramid` trilinearly (bilinear in-level, linear
 /// across levels). Constant-fill border.
 void remap_aa_rect(const img::Pyramid& pyramid,
-                   img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                   img::ImageView<std::uint8_t> dst, MapView map,
                    par::Rect rect, std::uint8_t fill);
 
 }  // namespace fisheye::core

@@ -231,9 +231,9 @@ ExecContext Backend::resolve_map(
       (want != MapMode::CompactLut ||
        (ctx.compact != nullptr && ctx.compact->stride == choice.stride));
   if (already) return ctx;
-  if (ctx.map == nullptr)
+  if (ctx.map.empty())
     throw InvalidArgument(name() + ": " + choice.spec_text() +
-                          " needs the context's float WarpMap to convert "
+                          " needs the context's float map to convert "
                           "from, but the context (mode " +
                           map_mode_name(ctx.mode) + ") carries none");
   if ((want == MapMode::PackedLut || want == MapMode::CompactLut) &&
@@ -243,15 +243,15 @@ ExecContext Backend::resolve_map(
   auto conv = std::make_shared<ConvertedMap>();
   conv->mode = want;
   if (want == MapMode::PackedLut) {
-    conv->packed = pack_map(*ctx.map, ctx.src.width, ctx.src.height,
+    conv->packed = pack_map(ctx.map, ctx.src.width, ctx.src.height,
                             choice.frac_bits);
   } else if (want == MapMode::CompactLut) {
-    conv->compact = compact_map(*ctx.map, ctx.src.width, ctx.src.height,
+    conv->compact = compact_map(ctx.map, ctx.src.width, ctx.src.height,
                                 choice.stride, choice.frac_bits);
   } else if (want == MapMode::OnTheFly) {
     throw InvalidArgument(name() + ": map= cannot select on-the-fly");
   }
-  // map=float is a pointer rewrite only; ctx.map is already present.
+  // map=float is a mode rewrite only; ctx.map is already present.
   converted = std::move(conv);
   return converted->apply(ctx);
 }
@@ -373,7 +373,7 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
     // grid often wins on bandwidth; only probed when the context can
     // convert and the user didn't pin map= explicitly.
     if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
-        ctx.map != nullptr && ctx.opts.interp == Interp::Bilinear) {
+        !ctx.map.empty() && ctx.opts.interp == Interp::Bilinear) {
       for (const KernelVariant v : variants) {
         TunedSpec t;
         t.datapath = v;

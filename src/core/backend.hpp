@@ -31,7 +31,7 @@ namespace fisheye::core {
 /// Map representation requested by a spec's `map=` option
 /// (map=float | map=packed | map=compact:<stride>). When set and different
 /// from the context's own representation, the backend converts the
-/// context's full-resolution WarpMap at plan time and carries the result
+/// context's float map view at plan time and carries the result
 /// in the plan (ConvertedMap), so steady-state frames stream the selected
 /// format. An unset choice executes the context as-is.
 struct MapChoice {

@@ -60,7 +60,7 @@ ExecContext Corrector::make_context(img::ConstImageView<std::uint8_t> src,
   ExecContext ctx;
   ctx.src = src;
   ctx.dst = dst;
-  ctx.map = map_ ? &*map_ : nullptr;
+  ctx.map = map_ ? map_->view() : MapView{};
   ctx.packed = packed_ ? &*packed_ : nullptr;
   ctx.compact = compact_ ? &*compact_ : nullptr;
   ctx.camera = camera_.get();

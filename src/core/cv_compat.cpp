@@ -44,13 +44,13 @@ core::WarpMap init_undistort_rectify_map(const CameraMatrix& k,
 }
 
 void remap(img::ConstImageView<std::uint8_t> src,
-           img::ImageView<std::uint8_t> dst, const core::WarpMap& map,
+           img::ImageView<std::uint8_t> dst, core::MapView map,
            core::Interp interp, img::BorderMode border,
            std::uint8_t border_value) {
   core::ExecContext ctx;
   ctx.src = src;
   ctx.dst = dst;
-  ctx.map = &map;
+  ctx.map = map;
   ctx.mode = core::MapMode::FloatLut;
   ctx.opts = {interp, border, border_value};
   core::resolve_kernel(ctx)(src, dst, {0, 0, dst.width, dst.height});

@@ -39,7 +39,7 @@ core::WarpMap init_undistort_rectify_map(const CameraMatrix& k,
 
 /// cv::remap with INTER_* and BORDER_CONSTANT/REPLICATE/REFLECT semantics.
 void remap(img::ConstImageView<std::uint8_t> src,
-           img::ImageView<std::uint8_t> dst, const core::WarpMap& map,
+           img::ImageView<std::uint8_t> dst, core::MapView map,
            core::Interp interp = core::Interp::Bilinear,
            img::BorderMode border = img::BorderMode::Constant,
            std::uint8_t border_value = 0);

@@ -44,14 +44,15 @@ namespace fisheye::core {
 class FisheyeCamera;
 class ViewProjection;
 
-/// Everything a backend needs to produce one output frame. Pointers are
-/// non-owning and valid for the duration of execute(); which of map/packed/
-/// compact/camera+view are non-null depends on `mode`. For planning, the
-/// image views may carry null data pointers — only their geometry is read.
+/// Everything a backend needs to produce one output frame. Pointers and
+/// views are non-owning and valid for the duration of execute(); which of
+/// map/packed/compact/camera+view are set depends on `mode`. For planning,
+/// the image views may carry null data pointers — only their geometry is
+/// read.
 struct ExecContext {
   img::ConstImageView<std::uint8_t> src;
   img::ImageView<std::uint8_t> dst;
-  const WarpMap* map = nullptr;
+  MapView map;  ///< a WarpMap, or a window of one read in place
   const PackedMap* packed = nullptr;
   const CompactMap* compact = nullptr;
   const FisheyeCamera* camera = nullptr;
@@ -62,7 +63,7 @@ struct ExecContext {
 };
 
 /// Map representation selected by a backend spec's `map=` option, built
-/// from the context's full-resolution WarpMap at plan time and carried by
+/// from the context's float map view at plan time and carried by
 /// the plan so steady-state frames execute against it. A ConvertedMap with
 /// no storage (mode only) rewrites the context to an already-present
 /// representation (e.g. map=float on a packed-mode corrector).

@@ -22,22 +22,22 @@ namespace {
 // --- scalar float-LUT kernels (windowed: offsets forwarded) -------------
 
 void k_float_nearest(const KernelBinding& b, const TileArgs& a) {
-  detail::remap_rect_nearest(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+  detail::remap_rect_nearest(a.src, a.dst, b.map, a.rect, a.src_off_x,
                              a.src_off_y, b.opts);
 }
 
 void k_float_bilinear(const KernelBinding& b, const TileArgs& a) {
-  detail::remap_rect_bilinear(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+  detail::remap_rect_bilinear(a.src, a.dst, b.map, a.rect, a.src_off_x,
                               a.src_off_y, b.opts);
 }
 
 void k_float_bicubic(const KernelBinding& b, const TileArgs& a) {
-  detail::remap_rect_bicubic(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+  detail::remap_rect_bicubic(a.src, a.dst, b.map, a.rect, a.src_off_x,
                              a.src_off_y, b.opts);
 }
 
 void k_float_lanczos3(const KernelBinding& b, const TileArgs& a) {
-  detail::remap_rect_lanczos3(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+  detail::remap_rect_lanczos3(a.src, a.dst, b.map, a.rect, a.src_off_x,
                               a.src_off_y, b.opts);
 }
 
@@ -80,7 +80,7 @@ void k_otf_lanczos3(const KernelBinding& b, const TileArgs& a) {
 
 void k_simd_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
-  simd::remap_bilinear_soa(a.src, a.dst, *b.map, a.rect, b.opts.fill, scratch,
+  simd::remap_bilinear_soa(a.src, a.dst, b.map, a.rect, b.opts.fill, scratch,
                            b.soa_strip);
 }
 
@@ -96,7 +96,7 @@ void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
 // so it also serves the Scalar entry wherever the gather datapath runs.
 void k_gather_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
-  simd::remap_bilinear_gather(a.src, a.dst, *b.map, a.rect, a.src_off_x,
+  simd::remap_bilinear_gather(a.src, a.dst, b.map, a.rect, a.src_off_x,
                               a.src_off_y, b.opts, scratch, b.soa_strip);
 }
 
@@ -248,7 +248,7 @@ ResolvedKernel resolve_kernel(const ExecContext& ctx, KernelVariant variant,
   b.src_height = ctx.src.height;
   b.soa_strip = soa_strip;
   if (ctx.mode == MapMode::FloatLut) {
-    FE_EXPECTS(ctx.map != nullptr);
+    FE_EXPECTS(!ctx.map.empty());
     b.map = ctx.map;
   } else if (ctx.mode == MapMode::PackedLut) {
     FE_EXPECTS(ctx.packed != nullptr);
@@ -275,11 +275,12 @@ MapIdentity map_identity(const ExecContext& ctx) noexcept {
   MapIdentity id;
   switch (ctx.mode) {
     case MapMode::FloatLut:
-      if (ctx.map == nullptr) return id;
-      id.table = ctx.map;
-      id.generation = ctx.map->generation;
-      id.width = ctx.map->width;
-      id.height = ctx.map->height;
+      if (ctx.map.empty()) return id;
+      id.table = ctx.map.src_x;
+      id.generation = ctx.map.generation;
+      id.width = ctx.map.width;
+      id.height = ctx.map.height;
+      id.pitch = ctx.map.pitch;
       break;
     case MapMode::PackedLut:
       if (ctx.packed == nullptr) return id;
@@ -310,7 +311,7 @@ MapIdentity map_identity(const ExecContext& ctx) noexcept {
 // --- public remap entry points whose dispatch lives with the catalogue --
 
 void remap_rect_offset(img::ConstImageView<std::uint8_t> src,
-                       img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                       img::ImageView<std::uint8_t> dst, MapView map,
                        par::Rect rect, int src_off_x, int src_off_y,
                        const RemapOptions& opts) {
   switch (opts.interp) {
@@ -335,7 +336,7 @@ void remap_rect_offset(img::ConstImageView<std::uint8_t> src,
 }
 
 void remap_rect(img::ConstImageView<std::uint8_t> src,
-                img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                img::ImageView<std::uint8_t> dst, MapView map,
                 par::Rect rect, const RemapOptions& opts) {
   remap_rect_offset(src, dst, map, rect, 0, 0, opts);
 }
@@ -407,10 +408,10 @@ std::vector<par::Rect> source_locality_keys(
   keys.reserve(tiles.size());
   switch (ctx.mode) {
     case MapMode::FloatLut:
-      if (ctx.map != nullptr) {
+      if (!ctx.map.empty()) {
         for (const par::Rect& t : tiles)
           keys.push_back(
-              source_bbox(*ctx.map, t, ctx.src.width, ctx.src.height));
+              source_bbox(ctx.map, t, ctx.src.width, ctx.src.height));
         return keys;
       }
       break;

@@ -32,7 +32,7 @@ struct ExecContext;
 
 /// How source coordinates are obtained per output pixel.
 enum class MapMode {
-  FloatLut,    ///< precomputed float WarpMap
+  FloatLut,    ///< precomputed float map (a MapView of a WarpMap)
   PackedLut,   ///< precomputed fixed-point PackedMap (bilinear only)
   CompactLut,  ///< block-subsampled CompactMap, reconstructed per pixel
                ///< (bilinear only)
@@ -85,10 +85,11 @@ struct KernelKey {
 };
 
 /// Frame-invariant operands captured at plan time. Which pointers are
-/// non-null depends on the key's map mode; all referenced objects must
-/// outlive the plan (ExecutionPlan pins spec-converted maps itself).
+/// non-null (and whether `map` views a table) depends on the key's map
+/// mode; all referenced objects must outlive the plan (ExecutionPlan pins
+/// spec-converted maps itself).
 struct KernelBinding {
-  const WarpMap* map = nullptr;
+  MapView map;
   const PackedMap* packed = nullptr;
   const CompactMap* compact = nullptr;
   const FisheyeCamera* camera = nullptr;
@@ -183,14 +184,19 @@ class ResolvedKernel {
 [[nodiscard]] std::string kernel_catalogue();
 
 /// Identity of the coordinate source a context executes from: table address
-/// + generation + dimensions (generation defeats address recycling), or the
-/// camera/view pair for on-the-fly evaluation. Plan keys compare these so
-/// the per-mode identity logic lives with the kernel catalogue.
+/// (a float view's first entry) + generation + dimensions (generation
+/// defeats address recycling), or the camera/view pair for on-the-fly
+/// evaluation. Plan keys compare these so the per-mode identity logic lives
+/// with the kernel catalogue.
 struct MapIdentity {
   const void* table = nullptr;
   std::uint64_t generation = 0;
   int width = 0;
   int height = 0;
+  /// Row pitch of a FloatLut view in floats (0 otherwise): a window reads
+  /// its owner's rows, so the same first entry and dims at another pitch
+  /// are other entries.
+  std::size_t pitch = 0;
   /// Grid pitch for CompactLut (0 otherwise): plans built for different
   /// subsampling strides are never interchangeable.
   int stride = 0;

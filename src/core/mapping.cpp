@@ -19,6 +19,16 @@ std::uint64_t next_map_generation() noexcept {
 
 }  // namespace detail
 
+MapView MapView::window(par::Rect r) const {
+  FE_EXPECTS(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= width && r.y1 <= height);
+  MapView v = *this;
+  v.src_x += index(r.x0, r.y0);
+  v.src_y += index(r.x0, r.y0);
+  v.width = r.width();
+  v.height = r.height();
+  return v;
+}
+
 namespace {
 
 WarpMap alloc_map(int width, int height) {
@@ -120,7 +130,7 @@ WarpMap build_brown_conrady_map(const BrownConrady& model, double src_cx,
   return map;
 }
 
-PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
+PackedMap pack_map(MapView map, int src_width, int src_height,
                    int frac_bits) {
   FE_EXPECTS(src_width > 0 && src_height > 0);
   FE_EXPECTS(frac_bits >= 1 && frac_bits <= 22);
@@ -135,23 +145,26 @@ PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
   // The packed kernel clamps the bilinear footprint instead of testing it,
   // so coordinates are clamped into [0, dim-1] with the fractional part of
   // edge pixels zeroed; fully-outside pixels become the sentinel.
-  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
-    const double sx = map.src_x[i];
-    const double sy = map.src_y[i];
-    const bool outside = sx <= -1.0 || sy <= -1.0 ||
-                         sx >= static_cast<double>(src_width) ||
-                         sy >= static_cast<double>(src_height);
-    if (outside) {
-      packed.fx[i] = PackedMap::kInvalid;
-      packed.fy[i] = PackedMap::kInvalid;
-      continue;
+  for (int y = 0; y < map.height; ++y) {
+    for (int x = 0; x < map.width; ++x) {
+      const std::size_t i = packed.index(x, y);
+      const double sx = map.src_x[map.index(x, y)];
+      const double sy = map.src_y[map.index(x, y)];
+      const bool outside = sx <= -1.0 || sy <= -1.0 ||
+                           sx >= static_cast<double>(src_width) ||
+                           sy >= static_cast<double>(src_height);
+      if (outside) {
+        packed.fx[i] = PackedMap::kInvalid;
+        packed.fy[i] = PackedMap::kInvalid;
+        continue;
+      }
+      const double cx = util::clamp(sx, 0.0, src_width - 1.0);
+      const double cy = util::clamp(sy, 0.0, src_height - 1.0);
+      packed.fx[i] = static_cast<std::int32_t>(std::lround(cx * scale));
+      packed.fy[i] = static_cast<std::int32_t>(std::lround(cy * scale));
+      // lround can land exactly on (dim-1).0; the kernel's x0+1 access is
+      // then clamped there, so no further adjustment is needed.
     }
-    const double cx = util::clamp(sx, 0.0, src_width - 1.0);
-    const double cy = util::clamp(sy, 0.0, src_height - 1.0);
-    packed.fx[i] = static_cast<std::int32_t>(std::lround(cx * scale));
-    packed.fy[i] = static_cast<std::int32_t>(std::lround(cy * scale));
-    // lround can land exactly on (dim-1).0; the kernel's x0+1 access is then
-    // clamped there, so no further adjustment is needed.
   }
   return packed;
 }
@@ -162,8 +175,7 @@ namespace {
 // saturation range. Positions up to one stride past the image edge are
 // linearly extrapolated from the last in-range sample and its neighbour,
 // so the trailing grid line continues the warp instead of flattening it.
-double sample_extrapolated(const WarpMap& map, const WarpMap::Plane& v,
-                           int px, int py) {
+double sample_extrapolated(MapView map, const float* v, int px, int py) {
   const auto clamped = [](double x) {
     return util::clamp(x, -CompactMap::kCoordLimitPx,
                        CompactMap::kCoordLimitPx);
@@ -182,7 +194,7 @@ double sample_extrapolated(const WarpMap& map, const WarpMap::Plane& v,
 
 }  // namespace
 
-CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
+CompactMap compact_map(MapView map, int src_width, int src_height,
                        int stride, int frac_bits) {
   FE_EXPECTS(src_width > 0 && src_height > 0);
   FE_EXPECTS(stride >= 1 && stride <= 64 && (stride & (stride - 1)) == 0);
@@ -239,7 +251,7 @@ CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
   return cm;
 }
 
-par::Rect source_bbox(const WarpMap& map, par::Rect r, int src_width,
+par::Rect source_bbox(MapView map, par::Rect r, int src_width,
                       int src_height) {
   FE_EXPECTS(r.x0 >= 0 && r.y0 >= 0 && r.x1 <= map.width &&
              r.y1 <= map.height);
@@ -249,7 +261,7 @@ par::Rect source_bbox(const WarpMap& map, par::Rect r, int src_width,
   float max_y = std::numeric_limits<float>::lowest();
   bool any = false;
   for (int y = r.y0; y < r.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
+    const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     for (int x = r.x0; x < r.x1; ++x) {
       const float sx = map.src_x[row + x];
       const float sy = map.src_y[row + x];
@@ -273,14 +285,16 @@ par::Rect source_bbox(const WarpMap& map, par::Rect r, int src_width,
   return box;
 }
 
-double valid_fraction(const WarpMap& map, int src_width, int src_height) {
+double valid_fraction(MapView map, int src_width, int src_height) {
   std::size_t valid = 0;
-  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
-    const float sx = map.src_x[i];
-    const float sy = map.src_y[i];
-    if (sx > -1.0f && sy > -1.0f && sx < static_cast<float>(src_width) &&
-        sy < static_cast<float>(src_height))
-      ++valid;
+  for (int y = 0; y < map.height; ++y) {
+    for (int x = 0; x < map.width; ++x) {
+      const float sx = map.src_x[map.index(x, y)];
+      const float sy = map.src_y[map.index(x, y)];
+      if (sx > -1.0f && sy > -1.0f && sx < static_cast<float>(src_width) &&
+          sy < static_cast<float>(src_height))
+        ++valid;
+    }
   }
   return static_cast<double>(valid) / static_cast<double>(map.pixel_count());
 }

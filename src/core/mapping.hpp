@@ -3,7 +3,9 @@
 // Three representations, matching the execution strategies the study
 // compares (F3/F9/F20):
 //  * WarpMap     — float32 source coordinates in structure-of-arrays layout
-//                  (SIMD-friendly; generated once per configuration).
+//                  (SIMD-friendly; generated once per configuration). Plans,
+//                  kernels and plan-time readers take a MapView of it: the
+//                  whole map, or a window read in place at the map's pitch.
 //  * PackedMap   — fixed-point Q(31-frac).frac coordinates in one int32 pair
 //                  per pixel, the format a LUT-driven hardware datapath
 //                  streams; invalid (out-of-source) pixels are a sentinel.
@@ -38,6 +40,42 @@ namespace detail {
 std::uint64_t next_map_generation() noexcept;
 }  // namespace detail
 
+struct WarpMap;
+
+/// Non-owning, read-only view of a float warp map or of a rectangular
+/// window of one. Entry (x, y) sits at src_x[y * pitch + x]: a window keeps
+/// its owner's row pitch, so a plan over part of a larger table reads it in
+/// place instead of copying it out. The owner must outlive every view of
+/// it. `generation` is the owner's, so plan keys — (first entry, generation,
+/// dims, pitch) — never alias a rebuilt map.
+struct MapView {
+  const float* src_x = nullptr;  ///< source x of entry (0, 0)
+  const float* src_y = nullptr;  ///< source y of entry (0, 0)
+  int width = 0;
+  int height = 0;
+  std::size_t pitch = 0;  ///< floats from one row to the next (>= width)
+  std::uint64_t generation = 0;
+
+  MapView() = default;
+  /// The whole of `map`. Implicit, so a WarpMap passes wherever a view is
+  /// taken; a temporary would leave the view dangling, hence the deleted
+  /// rvalue form.
+  MapView(const WarpMap& map) noexcept;  // NOLINT(google-explicit-constructor)
+  MapView(const WarpMap&&) = delete;
+
+  /// True for a default-constructed view (no map).
+  [[nodiscard]] bool empty() const noexcept { return src_x == nullptr; }
+  [[nodiscard]] std::size_t index(int x, int y) const noexcept {
+    return static_cast<std::size_t>(y) * pitch + x;
+  }
+  [[nodiscard]] std::size_t pixel_count() const noexcept {
+    return static_cast<std::size_t>(width) * height;
+  }
+  /// The entries of `r`, which must lie inside this view: same pitch and
+  /// generation, first entry at (r.x0, r.y0).
+  [[nodiscard]] MapView window(par::Rect r) const;
+};
+
 /// Float warp map (SoA). Entry (x, y) gives the *source* pixel sampled by
 /// output pixel (x, y); entries may lie outside the source image — border
 /// policy is applied at remap time.
@@ -63,7 +101,18 @@ struct WarpMap {
   [[nodiscard]] std::size_t bytes() const noexcept {
     return pixel_count() * 2 * sizeof(float);
   }
+  /// A view of the whole map; not on a temporary (it would dangle).
+  [[nodiscard]] MapView view() const& noexcept { return *this; }
+  MapView view() const&& = delete;
 };
+
+inline MapView::MapView(const WarpMap& map) noexcept
+    : src_x(map.src_x.data()),
+      src_y(map.src_y.data()),
+      width(map.width),
+      height(map.height),
+      pitch(static_cast<std::size_t>(map.width)),
+      generation(map.generation) {}
 
 /// Fixed-point packed map; `frac_bits` fractional bits per coordinate.
 struct PackedMap {
@@ -208,20 +257,20 @@ WarpMap build_brown_conrady_map(const BrownConrady& model, double src_cx,
 /// Quantize a float map into the packed fixed-point form. Coordinates whose
 /// bilinear footprint lies fully outside [0,src_w)x[0,src_h) become
 /// kInvalid; the remaining ones are clamped into the valid footprint.
-PackedMap pack_map(const WarpMap& map, int src_width, int src_height,
+PackedMap pack_map(MapView map, int src_width, int src_height,
                    int frac_bits = 14);
 
 /// Subsample a float map onto a stride×stride fixed-point grid. `stride`
 /// must be a power of two in [1, 64]. Measures max/mean reconstruction
 /// error against `map` over source-valid pixels and stores them in the
 /// result. stride == 1 stores every pixel exactly (no reconstruction loss).
-CompactMap compact_map(const WarpMap& map, int src_width, int src_height,
+CompactMap compact_map(MapView map, int src_width, int src_height,
                        int stride, int frac_bits = 14);
 
 /// Source-space bounding box (in whole pixels, inclusive of the bilinear
 /// footprint) touched by output rect `r`; empty() when no valid pixel maps
 /// inside the source. Drives accelerator tile DMA.
-par::Rect source_bbox(const WarpMap& map, par::Rect r, int src_width,
+par::Rect source_bbox(MapView map, par::Rect r, int src_width,
                       int src_height);
 
 /// Compact-map overload: the bbox of *reconstructed* coordinates, so DMA
@@ -229,7 +278,7 @@ par::Rect source_bbox(const WarpMap& map, par::Rect r, int src_width,
 par::Rect source_bbox(const CompactMap& map, par::Rect r);
 
 /// Fraction of map entries whose bilinear footprint intersects the source.
-double valid_fraction(const WarpMap& map, int src_width, int src_height);
+double valid_fraction(MapView map, int src_width, int src_height);
 
 /// Compact-map overload, evaluated on reconstructed coordinates.
 double valid_fraction(const CompactMap& map);

@@ -16,7 +16,7 @@ void expect_rect_in(const par::Rect& r, int width, int height) {
 
 template <class SampleFn>
 void remap_rect_generic(img::ConstImageView<std::uint8_t> src,
-                        img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                        img::ImageView<std::uint8_t> dst, MapView map,
                         par::Rect rect, int src_off_x, int src_off_y,
                         const RemapOptions& opts, SampleFn&& sample_fn) {
   FE_EXPECTS(src.channels == dst.channels);
@@ -26,7 +26,7 @@ void remap_rect_generic(img::ConstImageView<std::uint8_t> src,
   const auto off_x = static_cast<float>(src_off_x);
   const auto off_y = static_cast<float>(src_off_y);
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
+    const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* out_row = dst.row(y);
     for (int x = rect.x0; x < rect.x1; ++x) {
       const float sx = map.src_x[row + x] - off_x;
@@ -42,7 +42,7 @@ void remap_rect_generic(img::ConstImageView<std::uint8_t> src,
 namespace detail {
 
 void remap_rect_nearest(img::ConstImageView<std::uint8_t> src,
-                        img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                        img::ImageView<std::uint8_t> dst, MapView map,
                         par::Rect rect, int src_off_x, int src_off_y,
                         const RemapOptions& opts) {
   remap_rect_generic(src, dst, map, rect, src_off_x, src_off_y, opts,
@@ -50,7 +50,7 @@ void remap_rect_nearest(img::ConstImageView<std::uint8_t> src,
 }
 
 void remap_rect_bilinear(img::ConstImageView<std::uint8_t> src,
-                         img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                         img::ImageView<std::uint8_t> dst, MapView map,
                          par::Rect rect, int src_off_x, int src_off_y,
                          const RemapOptions& opts) {
   remap_rect_generic(src, dst, map, rect, src_off_x, src_off_y, opts,
@@ -58,7 +58,7 @@ void remap_rect_bilinear(img::ConstImageView<std::uint8_t> src,
 }
 
 void remap_rect_bicubic(img::ConstImageView<std::uint8_t> src,
-                        img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                        img::ImageView<std::uint8_t> dst, MapView map,
                         par::Rect rect, int src_off_x, int src_off_y,
                         const RemapOptions& opts) {
   remap_rect_generic(src, dst, map, rect, src_off_x, src_off_y, opts,
@@ -66,7 +66,7 @@ void remap_rect_bicubic(img::ConstImageView<std::uint8_t> src,
 }
 
 void remap_rect_lanczos3(img::ConstImageView<std::uint8_t> src,
-                         img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                         img::ImageView<std::uint8_t> dst, MapView map,
                          par::Rect rect, int src_off_x, int src_off_y,
                          const RemapOptions& opts) {
   remap_rect_generic(src, dst, map, rect, src_off_x, src_off_y, opts,

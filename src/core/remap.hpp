@@ -3,7 +3,8 @@
 // backend (CPU pool, SIMD, simulated accelerators) composes.
 //
 // Four strategies, matching the F3/F9/F20 comparisons:
-//  * remap_rect         — float LUT (WarpMap) + any interpolation kernel.
+//  * remap_rect         — float LUT (a MapView of a WarpMap or of a window
+//                         of one) + any interpolation kernel.
 //  * remap_packed_rect  — fixed-point LUT (PackedMap), integer bilinear;
 //                         the hardware-datapath kernel.
 //  * remap_compact_rect — block-subsampled LUT (CompactMap): per-pixel
@@ -34,18 +35,17 @@ struct RemapOptions {
 
 /// Float-LUT remap of `rect` (a sub-rectangle of `dst`/`map` space).
 /// `map` dimensions must equal `dst` dimensions; channels must match between
-/// src and dst. `map_origin_*` shift map lookups when `dst` is a tile view
-/// whose (0,0) corresponds to map entry (map_origin_x, map_origin_y) — the
-/// accelerator local-store path uses this.
+/// src and dst. Map rows are read at the view's pitch, so `map` may be a
+/// window of a larger table.
 void remap_rect(img::ConstImageView<std::uint8_t> src,
-                img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                img::ImageView<std::uint8_t> dst, MapView map,
                 par::Rect rect, const RemapOptions& opts);
 
 /// Same, but source coordinates are offset by (-src_off_x, -src_off_y)
 /// before sampling: `src` is a copied sub-window of the real source whose
 /// top-left corner sits at (src_off_x, src_off_y) in full-frame coordinates.
 void remap_rect_offset(img::ConstImageView<std::uint8_t> src,
-                       img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                       img::ImageView<std::uint8_t> dst, MapView map,
                        par::Rect rect, int src_off_x, int src_off_y,
                        const RemapOptions& opts);
 
@@ -106,19 +106,19 @@ namespace detail {
 /// (core/kernel.cpp — the library's ONLY runtime interpolation dispatch)
 /// resolve onto these; nothing below this layer branches on Interp.
 void remap_rect_nearest(img::ConstImageView<std::uint8_t> src,
-                        img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                        img::ImageView<std::uint8_t> dst, MapView map,
                         par::Rect rect, int src_off_x, int src_off_y,
                         const RemapOptions& opts);
 void remap_rect_bilinear(img::ConstImageView<std::uint8_t> src,
-                         img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                         img::ImageView<std::uint8_t> dst, MapView map,
                          par::Rect rect, int src_off_x, int src_off_y,
                          const RemapOptions& opts);
 void remap_rect_bicubic(img::ConstImageView<std::uint8_t> src,
-                        img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                        img::ImageView<std::uint8_t> dst, MapView map,
                         par::Rect rect, int src_off_x, int src_off_y,
                         const RemapOptions& opts);
 void remap_rect_lanczos3(img::ConstImageView<std::uint8_t> src,
-                         img::ImageView<std::uint8_t> dst, const WarpMap& map,
+                         img::ImageView<std::uint8_t> dst, MapView map,
                          par::Rect rect, int src_off_x, int src_off_y,
                          const RemapOptions& opts);
 

@@ -15,45 +15,25 @@ namespace {
   return build.mode == core::MapMode::CompactLut ? build.compact_stride : 0;
 }
 
-/// The `window` region of `lut`, copied row by row.
-[[nodiscard]] core::WarpMap crop_map(const core::WarpMap& lut,
-                                     par::Rect window) {
-  FE_EXPECTS(window.x0 >= 0 && window.y0 >= 0 && window.x1 <= lut.width &&
-             window.y1 <= lut.height);
-  core::WarpMap map;
-  map.width = window.width();
-  map.height = window.height();
-  map.src_x.reserve(map.pixel_count());
-  map.src_y.reserve(map.pixel_count());
-  for (int y = window.y0; y < window.y1; ++y) {
-    const auto first = static_cast<std::ptrdiff_t>(lut.index(window.x0, y));
-    const auto last = first + map.width;
-    map.src_x.insert(map.src_x.end(), lut.src_x.begin() + first,
-                     lut.src_x.begin() + last);
-    map.src_y.insert(map.src_y.end(), lut.src_y.begin() + first,
-                     lut.src_y.begin() + last);
-  }
-  return map;
-}
-
 }  // namespace
 
-core::WarpMap build_level_lut(const ViewBuildContext& build, int quantum) {
+std::shared_ptr<const core::WarpMap> build_level_lut(
+    const ViewBuildContext& build, int quantum) {
   FE_EXPECTS(build.camera != nullptr && build.view != nullptr);
   FE_EXPECTS(quantum > 0);
   const auto round_up = [quantum](int v) {
     return (v + quantum - 1) / quantum * quantum;
   };
   const int pad = window_pad(build);
-  return core::build_map_window(
+  return std::make_shared<const core::WarpMap>(core::build_map_window(
       *build.camera, *build.view,
       {0, 0, round_up(build.view->width()) + pad,
-       round_up(build.view->height()) + pad});
+       round_up(build.view->height()) + pad}));
 }
 
 BlockTable build_level_blocks(const ViewBuildContext& build, int quantum) {
   FE_EXPECTS(build.lut != nullptr && quantum > 0);
-  const core::WarpMap& lut = *build.lut;
+  const core::MapView lut = *build.lut;
   BlockTable t;
   t.block_w = std::gcd(quantum, build.tile_w);
   t.block_h = std::gcd(quantum, build.tile_h);
@@ -124,9 +104,14 @@ std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
                            key.rect.y0 % build.compact_stride == 0);
   const par::Rect window{key.rect.x0, key.rect.y0, key.rect.x1 + pad,
                          key.rect.y1 + pad};
-  entry->map = build.lut != nullptr
-                   ? crop_map(*build.lut, window)
-                   : core::build_map_window(*build.camera, *build.view, window);
+  if (build.lut != nullptr) {
+    entry->pin = build.lut;
+    entry->map = entry->pin->view().window(window);
+  } else {
+    entry->pin = std::make_shared<const core::WarpMap>(
+        core::build_map_window(*build.camera, *build.view, window));
+    entry->map = *entry->pin;
+  }
   if (build.mode == core::MapMode::PackedLut)
     entry->packed = core::pack_map(entry->map, build.src_width,
                                    build.src_height, build.frac_bits);
@@ -139,23 +124,24 @@ std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
                                         build.channels);
 
   // The plan's context: shape-only source (planning never reads pixels),
-  // the entry's own output buffer, and the entry's maps — their addresses
-  // are final here, so the resolved kernel's bound pointers stay valid for
-  // the entry's lifetime. Tiles cover only the served region; the pad rows
-  // and columns are never written or read.
+  // the entry's own output buffer, and the entry's maps — the pinned window
+  // and the conversions, whose addresses are final here, so the resolved
+  // kernel's bound view and pointers stay valid for the entry's lifetime.
+  // Tiles cover only the served region; the pad rows and columns are never
+  // written or read.
   core::ExecContext ctx;
   ctx.src = img::ConstImageView<std::uint8_t>(
       nullptr, build.src_width, build.src_height, build.channels,
       static_cast<std::size_t>(build.src_width) * build.channels);
   ctx.dst = entry->out.view();
-  ctx.map = &entry->map;
+  ctx.map = entry->map;
   ctx.packed = entry->packed ? &*entry->packed : nullptr;
   ctx.compact = entry->compact ? &*entry->compact : nullptr;
   ctx.opts = build.remap;
   ctx.mode = build.mode;
   // With the level's block table, a tile's key is the union of its
   // blocks' boxes: the tile shifted into level space, where the window is a
-  // crop of the LUT, so the key equals source_bbox of the entry's own map.
+  // part of the LUT, so the key equals source_bbox of the entry's own map.
   core::TileKeyFn tile_key;
   if (build.blocks != nullptr)
     tile_key = [blocks = build.blocks, x0 = key.rect.x0,
@@ -166,13 +152,15 @@ std::unique_ptr<CachedView> build_cached_view(const ViewBuildContext& build,
                                          kServePlanName, entry->width,
                                          entry->height, tile_key);
 
-  std::size_t bytes = sizeof(CachedView) + entry->map.bytes();
+  // Charged: what grows with the window — output pixels, the plan's per-tile
+  // slots (tile rect, seconds slot) and any packed/compact conversion. The
+  // float map is the pin's, shared with the level or (built without a LUT)
+  // standing in for it, so it is charged in neither case.
+  std::size_t bytes = entry->out.payload_bytes() +
+                      entry->plan.tiles().size() *
+                          (sizeof(par::Rect) + sizeof(double));
   if (entry->packed) bytes += entry->packed->bytes();
   if (entry->compact) bytes += entry->compact->bytes();
-  bytes += static_cast<std::size_t>(entry->out.view().pitch) *
-           entry->out.view().height;
-  bytes += entry->plan.tiles().size() *
-           (sizeof(par::Rect) + sizeof(std::uint32_t) + sizeof(double));
   entry->bytes = bytes;
   return entry;
 }

@@ -1,18 +1,19 @@
 // PlanCache: per-view execution plans for the serving layer.
 //
 // A cached view is everything the steady state needs to correct one
-// coalesced PTZ region: the windowed warp map (a bit-exact crop of the
-// level's full map, copied out of the server's per-level LUT), its
-// packed/compact conversion when the server runs those representations, a
-// service ExecutionPlan (Morton-ordered tiles, workspace arena, resolved
-// kernel, instrumentation slots), and the shared output buffer client crops
-// are copied from. A miss copies the window's rows out of the level LUT,
-// converts them, and plans: in float mode each tile's source-locality key
-// is the union of a few entries of the level's BlockTable, so planning
-// costs O(tiles), not a scan of the window's map. The window copy is then
-// the only per-pixel work of a miss; no trigonometry runs on the serving
-// path. A hit is a hash lookup plus an intrusive LRU splice, and from
-// there the frame reaches steady-state correction with zero allocations.
+// coalesced PTZ region: a MapView window of the server's per-level LUT
+// (read in place at the LUT's pitch, with a shared pin that keeps the LUT
+// alive for the entry's lifetime), its packed/compact conversion when the
+// server runs those representations, a service ExecutionPlan
+// (Morton-ordered tiles, workspace arena, resolved kernel, instrumentation
+// slots), and the shared output buffer client crops are copied from. A
+// float-mode miss copies no map: it points the plan at the LUT window and
+// keys each tile's source locality as the union of a few entries of the
+// level's BlockTable, so planning costs O(tiles), not a scan of the
+// window's map. Packed/compact misses convert straight from the window. No
+// trigonometry runs on the serving path. A hit is a hash lookup plus an
+// intrusive LRU splice, and from there the frame reaches steady-state
+// correction with zero allocations.
 //
 // Keying: (calibration generation, level, quantized view rect). The
 // backend spec is fixed per server, so it lives outside the key — lookups
@@ -60,20 +61,29 @@ struct ViewKeyHash {
   }
 };
 
-/// One cached view (see header comment). The maps live here so the
-/// resolved kernel's bound pointers stay valid for the entry's lifetime;
-/// `out` carries one-stride right/bottom padding in compact mode (the plan
-/// tiles cover only [0,width)x[0,height) — see build_cached_view).
+/// One cached view (see header comment). `pin` and the conversions live
+/// here so the resolved kernel's bound view and pointers stay valid for the
+/// entry's lifetime; `out` carries one-stride right/bottom padding in
+/// compact mode (the plan tiles cover only [0,width)x[0,height) — see
+/// build_cached_view).
 struct CachedView {
   ViewKey key;
-  core::WarpMap map;
+  /// Owner of the table `map` reads: the level LUT it was built from, or,
+  /// built without one, the window map evaluated for this entry alone.
+  std::shared_ptr<const core::WarpMap> pin;
+  core::MapView map;  ///< the entry's (padded) window of `*pin`
   std::optional<core::PackedMap> packed;
   std::optional<core::CompactMap> compact;
   core::ExecutionPlan plan;
   img::Image<std::uint8_t> out;
   int width = 0;   ///< served (unpadded) region width
   int height = 0;  ///< served (unpadded) region height
-  std::size_t bytes = 0;          ///< accounted footprint
+  /// Accounted footprint: what the entry alone holds and what grows with
+  /// its window (output pixels, plan tile slots, packed/compact
+  /// conversion), never the float map, so a key costs the same whether its
+  /// window came from a LUT or not. Per-entry constants (this struct, row
+  /// padding) are left out, so a budget stays proportional to window area.
+  std::size_t bytes = 0;
   std::uint64_t pinned_frame = 0; ///< frame id currently executing the entry
   CachedView* lru_prev = nullptr;
   CachedView* lru_next = nullptr;
@@ -107,9 +117,9 @@ struct ViewBuildContext {
   const core::FisheyeCamera* camera = nullptr;
   const core::ViewProjection* view = nullptr;  ///< the key's level view
   /// The key's level LUT (see build_level_lut), or null to evaluate the
-  /// window from camera + view instead. When set, the entry's map is a
-  /// copy of the window's rows of this map; camera and view are unused.
-  const core::WarpMap* lut = nullptr;
+  /// window from camera + view instead. When set, the entry pins it and
+  /// reads its window in place; camera and view are unused.
+  std::shared_ptr<const core::WarpMap> lut;
   /// `lut`'s BlockTable, or null to key tiles by scanning the window's
   /// map. Float mode only (packed plans key on output tiles, compact plans
   /// on their grid); its blocks must tile every plan tile of the window.
@@ -128,9 +138,9 @@ struct ViewBuildContext {
 /// Canonical PlanKey backend name of serving-layer plans.
 inline constexpr const char* kServePlanName = "serve";
 
-/// Build the entry for `key` under `build`: windowed map (padded one
-/// stride right/bottom in compact mode so every grid line the kernel reads
-/// is sampled, not extrapolated), representation conversion, service plan
+/// Build the entry for `key` under `build`: map window (padded one stride
+/// right/bottom in compact mode so every grid line the kernel reads is
+/// sampled, not extrapolated), representation conversion, service plan
 /// and output buffer. The quantized rect origin must be stride-aligned in
 /// compact mode (the server's quantum enforces it) — that alignment is
 /// what makes the windowed compact grid coincide with the full level
@@ -139,12 +149,13 @@ inline constexpr const char* kServePlanName = "serve";
 [[nodiscard]] std::unique_ptr<CachedView> build_cached_view(
     const ViewBuildContext& build, const ViewKey& key);
 
-/// The float map of `build.view`'s quantized domain, from which
-/// build_cached_view copies windows: the view's dims rounded up to
+/// The float map of `build.view`'s quantized domain, whose windows
+/// build_cached_view reads in place: the view's dims rounded up to
 /// `quantum` (quantized rects of a 180-px-high level reach row 192), plus
-/// one compact stride right/bottom in compact mode.
-[[nodiscard]] core::WarpMap build_level_lut(const ViewBuildContext& build,
-                                            int quantum);
+/// one compact stride right/bottom in compact mode. Shared, so every entry
+/// built from it can pin it.
+[[nodiscard]] std::shared_ptr<const core::WarpMap> build_level_lut(
+    const ViewBuildContext& build, int quantum);
 
 /// The BlockTable of `*build.lut` whose blocks tile every plan tile of a
 /// quantum-aligned window: gcd(quantum, build.tile_w) x gcd(quantum,

@@ -226,7 +226,7 @@ void Server::build_level_luts_() {
     ViewBuildContext build = build_context_(level);
     level_luts_.push_back(build_level_lut(build, options_.quantum));
     if (options_.map_mode != core::MapMode::FloatLut) continue;
-    build.lut = &level_luts_.back();
+    build.lut = level_luts_.back();
     level_blocks_.push_back(build_level_blocks(build, options_.quantum));
   }
 }
@@ -383,7 +383,7 @@ void Server::submit_clusters_(std::size_t slot_index) {
     if (e == nullptr) {
       const auto level = static_cast<std::size_t>(cl.level);
       ViewBuildContext build = build_context_(level);
-      build.lut = &level_luts_[level];
+      build.lut = level_luts_[level];
       if (!level_blocks_.empty()) build.blocks = &level_blocks_[level];
       e = &cache_.insert(build_cached_view(build, key), fid);
     }
@@ -502,9 +502,11 @@ void Server::recalibrate(const core::LensSpec& lens) {
   config_.fov_rad = lens.fov_rad();
   camera_ = std::make_unique<core::FisheyeCamera>(core::FisheyeCamera::centered(
       lens, config_.src_width, config_.src_height));
+  // Flush first, so the rebuild drops the last handles to the old LUTs
+  // instead of keeping two calibrations' tables alive.
+  cache_.flush();
   build_level_luts_();
   ++generation_;  // old cached views are invalid by key from here on
-  cache_.flush();
   stats_.plan_evictions = cache_.stats().evictions;
   stats_.cache_bytes = 0;
   stats_.cache_entries = 0;

@@ -9,18 +9,20 @@
 // LUT per level over its quantized domain, plus (in float mode) its
 // BlockTable of per-block source boxes, built at construction and again
 // by recalibrate() (Σ quantized level area × 8 B plus ~4 KB per level,
-// held outside cache_budget). Serving only ever copies windows out of the
-// LUT and keys plan tiles from the table.
+// held outside cache_budget). Serving never copies the LUT: cached plans
+// read their windows of it in place, each entry holding a shared pin on
+// its level's LUT, and key plan tiles from the table.
 //
 // Per source frame the pipeline is: quantize request rects (origin down,
 // extent up, to `quantum` px — transparent to clients, crops stay exact) →
 // coalesce duplicates/overlaps into clusters (Coalescer) → resolve each
-// cluster through the PlanCache (hit: zero-allocation; miss: copy the
-// window out of the level LUT, convert it, build the plan) and submit it
-// at once to one of the plan-stream lanes of a stream::StreamExecutor, so
-// workers run earlier clusters while later misses build → on cluster
-// retire, copy member crops out of the shared cluster output and fire the
-// per-request retire callback with the true request→crop latency.
+// cluster through the PlanCache (hit: zero-allocation; miss: plan over the
+// cluster's window of the level LUT, converting it in packed/compact mode)
+// and submit it at once to one of the plan-stream lanes of a
+// stream::StreamExecutor, so workers run earlier clusters while later
+// misses build → on cluster retire, copy member crops out of the shared
+// cluster output and fire the per-request retire callback with the true
+// request→crop latency.
 //
 // Backpressure is two-level: request() blocks when the open frame already
 // holds max_pending requests, submit_frame() blocks when queue_depth
@@ -222,8 +224,9 @@ class Server {
   std::vector<std::unique_ptr<core::PerspectiveView>> level_views_;
   /// One per level (build_level_lut, build_level_blocks — the tables in
   /// float mode only); read by the dispatcher's misses, rebuilt by
-  /// recalibrate() while no frame is in flight.
-  std::vector<core::WarpMap> level_luts_;
+  /// recalibrate() while no frame is in flight. Cached entries pin the LUT
+  /// they read, so a rebuild never frees a table under a held entry.
+  std::vector<std::shared_ptr<const core::WarpMap>> level_luts_;
   std::vector<BlockTable> level_blocks_;
   std::uint64_t generation_ = 1;
   rt::Stopwatch epoch_;

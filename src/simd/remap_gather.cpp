@@ -378,7 +378,7 @@ inline void prefetch_strip_sources(const core::CompactMap& map,
 
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
-                           const core::WarpMap& map, par::Rect rect,
+                           core::MapView map, par::Rect rect,
                            int src_off_x, int src_off_y,
                            const core::RemapOptions& opts, SoaScratch& scratch,
                            int strip) {
@@ -398,13 +398,13 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
   const auto off_y = static_cast<float>(src_off_y);
 
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
+    const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* __restrict out_row = dst.row(y);
 
     for (int xb = rect.x0; xb < rect.x1; xb += len) {
       const int n = std::min(len, rect.x1 - xb);
-      const float* __restrict mx = map.src_x.data() + row + xb;
-      const float* __restrict my = map.src_y.data() + row + xb;
+      const float* __restrict mx = map.src_x + row + xb;
+      const float* __restrict my = map.src_y + row + xb;
 
       // Pass 1: core::sample_bilinear's own floor, taps, weights and
       // interior test, one scratch slot per pixel.

@@ -53,7 +53,7 @@ namespace fisheye::simd {
 /// Kernel resolution consults this to degrade SimdGather gracefully.
 [[nodiscard]] bool gather_available() noexcept;
 
-/// Bilinear remap of `rect` from a float WarpMap, AVX2 gather pass 2.
+/// Bilinear remap of `rect` from a float map view, AVX2 gather pass 2.
 /// Byte for byte core::remap_rect_offset with Interp::Bilinear under any
 /// border mode in `opts` (its interp is not read): `src` is a window whose
 /// top-left sits at (src_off_x, src_off_y) in full-frame coordinates, and
@@ -61,7 +61,7 @@ namespace fisheye::simd {
 /// per scratch refill; 0 selects kSoaStrip, larger values are clamped to it.
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
-                           const core::WarpMap& map, par::Rect rect,
+                           core::MapView map, par::Rect rect,
                            int src_off_x, int src_off_y,
                            const core::RemapOptions& opts, SoaScratch& scratch,
                            int strip = kSoaStrip);

@@ -24,7 +24,7 @@ inline int clamp_strip(int strip) noexcept {
 
 void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
                         img::ImageView<std::uint8_t> dst,
-                        const core::WarpMap& map, par::Rect rect,
+                        core::MapView map, par::Rect rect,
                         std::uint8_t fill, SoaScratch& scratch, int strip) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
@@ -39,13 +39,13 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
   const std::size_t pitch = src.pitch;
 
   for (int y = rect.y0; y < rect.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * map.width;
+    const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* __restrict out_row = dst.row(y);
 
     for (int xb = rect.x0; xb < rect.x1; xb += len) {
       const int n = std::min(len, rect.x1 - xb);
-      const float* __restrict mx = map.src_x.data() + row + xb;
-      const float* __restrict my = map.src_y.data() + row + xb;
+      const float* __restrict mx = map.src_x + row + xb;
+      const float* __restrict my = map.src_y + row + xb;
 
       // Pass 1: SoA coordinate/weight computation. Branch-free; the
       // interior test folds into a mask, so the loop vectorizes wherever

@@ -55,7 +55,7 @@ struct SoaScratch {
 /// values are clamped to it — the plan-time autotuner probes this axis).
 void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
                         img::ImageView<std::uint8_t> dst,
-                        const core::WarpMap& map, par::Rect rect,
+                        core::MapView map, par::Rect rect,
                         std::uint8_t fill, SoaScratch& scratch,
                         int strip = kSoaStrip);
 

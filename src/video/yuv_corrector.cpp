@@ -69,7 +69,7 @@ img::Yuv420 YuvCorrector::correct_frame(const img::Yuv420& in,
   core::RemapOptions chroma_opts = opts_;
   chroma_opts.fill = 128;
   core::ExecContext ctx;
-  ctx.map = &chroma_map_;
+  ctx.map = chroma_map_;
   ctx.opts = chroma_opts;
   ctx.mode = core::MapMode::FloatLut;
   ctx.src = in.u.view();

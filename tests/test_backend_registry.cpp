@@ -386,8 +386,8 @@ TEST(BackendRegistry, StealPlanIsRecycledAcrossFramesAndStaysCorrect) {
 
 TEST(BackendRegistry, MapRebuiltAtRecycledAddressReplans) {
   // The aliasing regression the plan key's generation field guards against:
-  // a map rebuilt at the SAME address (here: assigned into the same WarpMap
-  // object) with the same dimensions must invalidate the cached plan. With
+  // a map rebuilt at the SAME address (here: copied into the same WarpMap's
+  // planes) with the same dimensions must invalidate the cached plan. With
   // address-only identity the accelerator would keep serving the stale
   // platform reorganization built from the old map.
   const int w = 160, h = 120;
@@ -404,7 +404,7 @@ TEST(BackendRegistry, MapRebuiltAtRecycledAddressReplans) {
 
   core::ExecContext ctx;
   ctx.src = src.view();
-  ctx.map = &map;
+  ctx.map = map;
   ctx.mode = core::MapMode::FloatLut;
 
   const auto backend = BackendRegistry::create("cell");
@@ -412,8 +412,12 @@ TEST(BackendRegistry, MapRebuiltAtRecycledAddressReplans) {
   ctx.dst = out_a.view();
   backend->execute(ctx);  // caches a plan keyed on (&map, generation)
 
-  map = core::build_map(cam_b, view);  // same object => same address
+  const float* const table_a = map.src_x.data();
+  const core::WarpMap rebuilt = core::build_map(cam_b, view);
+  map = rebuilt;  // copied into the same planes => same table address
+  ASSERT_EQ(map.src_x.data(), table_a);
   EXPECT_NE(map.generation, gen_a);
+  ctx.map = map;  // a view is a snapshot: take it again from the new map
 
   img::Image8 out_b(w, h, 1);
   ctx.dst = out_b.view();

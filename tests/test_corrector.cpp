@@ -169,7 +169,8 @@ TEST(Corrector, MakeContextWiresPointers) {
   const Corrector corr = Corrector::builder(64, 64).build();
   img::Image8 src(64, 64, 1), dst(64, 64, 1);
   const ExecContext ctx = corr.make_context(src.view(), dst.view());
-  EXPECT_EQ(ctx.map, corr.map());
+  EXPECT_EQ(ctx.map.src_x, corr.map()->src_x.data());
+  EXPECT_EQ(ctx.map.generation, corr.map()->generation);
   EXPECT_EQ(ctx.camera, &corr.camera());
   EXPECT_EQ(ctx.view, &corr.view());
   EXPECT_EQ(ctx.mode, MapMode::FloatLut);

@@ -142,8 +142,8 @@ std::string valid_compact_bytes() {
   const auto cam = core::FisheyeCamera::centered(
       core::LensKind::Equidistant, util::deg_to_rad(180.0), 24, 18);
   const core::PerspectiveView view(24, 18, cam.lens().focal());
-  return core::encode_map(
-      core::compact_map(core::build_map(cam, view), 24, 18, 4));
+  const core::WarpMap map = core::build_map(cam, view);
+  return core::encode_map(core::compact_map(map, 24, 18, 4));
 }
 
 TEST(FuzzCompactMap, RandomByteSoup) {

@@ -390,7 +390,7 @@ long long expect_float_bilinear_exact(const img::Image8& src,
     ExecContext ctx;
     ctx.src = src.view();
     ctx.dst = got.view();
-    ctx.map = &map;
+    ctx.map = map;
     ctx.opts = opts;
     const ResolvedKernel scalar = resolve_kernel(ctx, KernelVariant::Scalar);
     EXPECT_EQ(scalar.key().variant, KernelVariant::Scalar);
@@ -503,6 +503,115 @@ TEST(SoaKernel, FloatPixelIsIndependentOfRectOffsetAndStrip) {
   }
 }
 
+/// `map`'s entries in `r`, copied into a map of their own (pitch == width).
+WarpMap cropped_copy(MapView map, par::Rect r) {
+  WarpMap crop;
+  crop.width = r.width();
+  crop.height = r.height();
+  for (int y = r.y0; y < r.y1; ++y) {
+    crop.src_x.insert(crop.src_x.end(), map.src_x + map.index(r.x0, y),
+                      map.src_x + map.index(r.x1, y));
+    crop.src_y.insert(crop.src_y.end(), map.src_y + map.index(r.x0, y),
+                      map.src_y + map.index(r.x1, y));
+  }
+  return crop;
+}
+
+TEST(MapView, EveryFloatKernelReadsStridedWindowsExactly) {
+  // Plans read windows of a larger table in place (the serving layer's
+  // level LUTs): every float-LUT catalogue entry, under each border mode
+  // it serves, must produce on a window view (pitch != width, odd origins,
+  // right/bottom edge windows) the bytes it produces on a cropped copy of
+  // the same entries, directly and through run_windowed's source offsets.
+  // Entries resolve through effective_variant, so a host without the
+  // gather datapath checks what it degrades to.
+  constexpr int kMapW = 203, kMapH = 97, kSrcW = 61, kSrcH = 47;
+  constexpr int kOffX = 3, kOffY = 2;
+  util::Rng rng(91);
+  WarpMap big;
+  big.width = kMapW;
+  big.height = kMapH;
+  for (int i = 0; i < kMapW * kMapH; ++i) {
+    big.src_x.push_back(static_cast<float>(rng.uniform(-3.0, kSrcW + 3.0)));
+    big.src_y.push_back(static_cast<float>(rng.uniform(-3.0, kSrcH + 3.0)));
+  }
+  const std::vector<par::Rect> windows{
+      {37, 11, 112, 52},                     // odd origin, interior
+      {kMapW - 53, 5, kMapW, 34},            // right edge
+      {13, kMapH - 31, 80, kMapH},           // bottom edge
+      {kMapW - 41, kMapH - 23, kMapW, kMapH},  // bottom-right corner
+      {kMapW - 1, 0, kMapW, kMapH},          // one column
+      {0, 0, kMapW, kMapH}};                 // the whole map
+  long long evaluated = 0;
+  for (const int ch : {1, 3}) {
+    const img::Image8 src = random_image(kSrcW, kSrcH, ch, 92 + ch);
+    const img::Image8 src_win = window_of(src, kOffX, kOffY);
+    for (const par::Rect& win : windows) {
+      const MapView view = big.view().window(win);
+      ASSERT_EQ(view.pitch, static_cast<std::size_t>(kMapW));
+      const WarpMap crop = cropped_copy(big, win);
+      const int w = win.width(), h = win.height();
+      const std::vector<par::Rect> rects{
+          {0, 0, w, h},
+          {std::min(w / 3 | 1, w - 1), h / 4, w, std::max(h / 4 + 1, h - 1)}};
+      for (const Interp interp : {Interp::Nearest, Interp::Bilinear,
+                                  Interp::Bicubic, Interp::Lanczos3}) {
+        for (const KernelVariant variant :
+             {KernelVariant::Scalar, KernelVariant::SimdSoa,
+              KernelVariant::SimdGather}) {
+          for (const img::BorderMode border :
+               {img::BorderMode::Constant, img::BorderMode::Replicate,
+                img::BorderMode::Reflect}) {
+            if (!kernel_supported({MapMode::FloatLut, interp, border,
+                                   PixelLayout::InterleavedU8, variant}))
+              continue;
+            img::Image8 want(w, h, ch), got(w, h, ch);
+            ExecContext ctx;
+            ctx.src = src.view();
+            ctx.opts = {interp, border, 7};
+            ctx.dst = want.view();
+            ctx.map = crop;
+            const ResolvedKernel on_crop = resolve_kernel(ctx, variant);
+            ctx.dst = got.view();
+            ctx.map = view;
+            const ResolvedKernel on_view = resolve_kernel(ctx, variant);
+            ASSERT_EQ(on_crop.key(), on_view.key());
+            const std::string what =
+                std::string(interp_name(interp)) + ' ' +
+                variant_name(on_view.key().variant) +
+                " border=" + img::border_name(border) +
+                " ch=" + std::to_string(ch) + " window=(" +
+                std::to_string(win.x0) + ',' + std::to_string(win.y0) + ',' +
+                std::to_string(win.x1) + ',' + std::to_string(win.y1) + ')';
+            for (const par::Rect& rect : rects) {
+              want.fill(200);
+              got.fill(200);
+              on_crop(src.view(), want.view(), rect);
+              on_view(src.view(), got.view(), rect);
+              EXPECT_EQ(count_mismatches(want, got), 0) << what;
+              evaluated += rect.area();
+              if (!on_view.windowed()) continue;
+              want.fill(200);
+              got.fill(200);
+              on_crop.run_windowed(src_win.view(), want.view(), rect, kOffX,
+                                   kOffY);
+              on_view.run_windowed(src_win.view(), got.view(), rect, kOffX,
+                                   kOffY);
+              EXPECT_EQ(count_mismatches(want, got), 0)
+                  << what << " run_windowed";
+              evaluated += rect.area();
+            }
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: per window and channel count, 14 entry x border points
+  // (four scalar interpolations under three borders, SoA and gather at
+  // constant), the scalar ones both directly and through run_windowed.
+  EXPECT_GT(evaluated, 1'000'000);
+}
+
 // ---------------------------------------------------------------------------
 
 constexpr int kW = 96;
@@ -525,7 +634,7 @@ struct Frame {
     ExecContext c;
     c.src = src.view();
     c.dst = dst.view();
-    c.map = &map;
+    c.map = map;
     c.mode = MapMode::FloatLut;
     return c;
   }

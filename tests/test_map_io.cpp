@@ -104,7 +104,8 @@ TEST(MapIo, KindMismatchRejected) {
 }
 
 TEST(MapIo, CompactCorruptionAndTruncationDetected) {
-  const CompactMap cm = compact_map(test_map(16, 16), 16, 16, 4);
+  const WarpMap map = test_map(16, 16);
+  const CompactMap cm = compact_map(map, 16, 16, 4);
   std::string bytes = encode_map(cm);
   std::string flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x40;
@@ -144,8 +145,8 @@ TEST(MapIo, FuzzRandomBytes) {
 }
 
 TEST(MapIo, FuzzMutationsOfValidCompactFile) {
-  const std::string valid = encode_map(compact_map(test_map(12, 10), 12, 10,
-                                                   4));
+  const WarpMap map = test_map(12, 10);
+  const std::string valid = encode_map(compact_map(map, 12, 10, 4));
   util::Rng rng(79);
   for (int trial = 0; trial < 300; ++trial) {
     std::string mutated = valid;

@@ -9,7 +9,9 @@
 // snapshot the counter, run more frames, and require a zero delta. Every
 // replaceable form is replaced, the nothrow ones included (libstdc++'s
 // std::stable_sort takes its buffer from nothrow new), so each allocation
-// counts and every pointer is freed by the allocator that made it.
+// counts and every pointer is freed by the allocator that made it. The
+// hook also sums requested bytes, which bounds what a serving-layer cache
+// miss may allocate.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,15 +34,18 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
 
 /// Counted malloc; null on failure (the throwing forms throw).
 void* counted_alloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
 void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), size) != 0)
     return nullptr;
@@ -141,7 +146,7 @@ struct Frame {
     if (mode == MapMode::CompactLut) {
       c.compact = &cmap;
     } else {
-      c.map = &map;
+      c.map = map;
     }
     c.mode = mode;
     return c;
@@ -327,6 +332,55 @@ TEST(PlanAllocations, ServeCacheHitPathIsAllocationFree) {
   const rt::ServeStats st = server.stats();
   EXPECT_EQ(st.plan_misses, warm.plan_misses);
   EXPECT_GT(st.plan_hits, warm.plan_hits);
+}
+
+TEST(PlanAllocations, ServeMissPathCopiesNoMap) {
+  // A float-mode miss reads its window of the level LUT in place: what it
+  // allocates through operator new is the plan and the entry, not a copy
+  // of the window's map (8 B per pixel). Two 128x96 views pan a quantum
+  // per frame under a budget no entry fits (~12.6 KB each), so every cluster
+  // of every frame misses; each frame must allocate fewer bytes than one
+  // per missed window pixel. The output buffers come from aligned_alloc
+  // and are not counted here.
+  par::ThreadPool pool(2);
+  serve::ServerConfig cfg;
+  cfg.src_width = kW;
+  cfg.src_height = kH;
+  cfg.fov_rad = deg_to_rad(170.0);
+  cfg.levels = {{256, 192, 0.0}};
+  const serve::ServeOptions opts =
+      serve::ServeOptions::parse("serve:lanes=2,cache_budget=4K");
+  serve::Server server(cfg, opts, pool);
+  server.set_retire([](std::uint64_t, std::uint64_t, double) {});
+
+  img::Image8 src(kW, kH, 1);
+  src.fill(100);
+  constexpr int kViewW = 128, kViewH = 96;
+  img::Image8 top(kViewW, kViewH, 1), bottom(kViewW, kViewH, 1);
+  const auto frame = [&](int f) {
+    const int x = 16 * (f % 9);
+    server.request(0, {x, 0, x + kViewW, kViewH}, top.view());
+    server.request(0, {128 - x, kViewH, 256 - x, 2 * kViewH}, bottom.view());
+    server.submit_frame(src.cview());
+    server.drain();
+  };
+  for (int f = 0; f < 6; ++f) frame(f);
+
+  for (int f = 6; f < 18; ++f) {
+    const std::size_t misses = server.stats().plan_misses;
+    const std::size_t before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    frame(f);
+    const std::size_t bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed) - before;
+    const std::size_t missed = server.stats().plan_misses - misses;
+    ASSERT_EQ(missed, 2u) << "frame " << f;
+    const std::size_t window_px =
+        missed * static_cast<std::size_t>(kViewW) * kViewH;
+    EXPECT_LT(bytes, window_px)
+        << "frame " << f << ": " << bytes << " bytes for " << window_px
+        << " missed window pixels";
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <string>
@@ -84,7 +85,7 @@ img::Image8 reference_level(const ServerConfig& cfg, const ServeOptions& opt,
   core::ExecContext ctx;
   ctx.src = src;
   ctx.dst = out.view();
-  ctx.map = &map;
+  ctx.map = map;
   ctx.packed = packed ? &*packed : nullptr;
   ctx.compact = compact ? &*compact : nullptr;
   ctx.opts = cfg.remap;
@@ -199,8 +200,8 @@ void check_edge_windows_exact(const std::string& spec_text) {
                      ((r.x1 + q - 1) / q) * q, ((r.y1 + q - 1) / q) * q};
   };
 
-  // Entries copied out of the level LUT hold the same arrays as entries
-  // evaluated from the camera math.
+  // Entries reading their window of the level LUT see the same entries as
+  // entries evaluated from the camera math, row by row.
   core::LensSpec lens = cfg.lens;
   lens.fov_deg = util::rad_to_deg(cfg.fov_rad);
   const auto cam = core::FisheyeCamera::centered(lens, kSrcW, kSrcH);
@@ -216,20 +217,25 @@ void check_edge_windows_exact(const std::string& spec_text) {
     scratch.mode = opt.map_mode;
     scratch.compact_stride = opt.compact_stride;
     scratch.frac_bits = opt.frac_bits;
-    const core::WarpMap lut = serve::build_level_lut(scratch, opt.quantum);
-    serve::ViewBuildContext copied = scratch;
-    copied.lut = &lut;
+    serve::ViewBuildContext from_lut = scratch;
+    from_lut.lut = serve::build_level_lut(scratch, opt.quantum);
     for (const par::Rect& r : rects) {
       const serve::ViewKey key{1, l, quantize(r)};
       const auto a = serve::build_cached_view(scratch, key);
-      const auto b = serve::build_cached_view(copied, key);
+      const auto b = serve::build_cached_view(from_lut, key);
       ASSERT_EQ(a->map.width, b->map.width);
       ASSERT_EQ(a->map.height, b->map.height);
-      const std::size_t bytes = a->map.pixel_count() * sizeof(float);
-      EXPECT_EQ(0, std::memcmp(a->map.src_x.data(), b->map.src_x.data(), bytes))
-          << spec_text << " level " << l;
-      EXPECT_EQ(0, std::memcmp(a->map.src_y.data(), b->map.src_y.data(), bytes))
-          << spec_text << " level " << l;
+      EXPECT_EQ(b->pin, from_lut.lut);
+      const std::size_t row_bytes =
+          static_cast<std::size_t>(a->map.width) * sizeof(float);
+      for (int y = 0; y < a->map.height; ++y) {
+        EXPECT_EQ(0, std::memcmp(a->map.src_x + a->map.index(0, y),
+                                 b->map.src_x + b->map.index(0, y), row_bytes))
+            << spec_text << " level " << l << " row " << y;
+        EXPECT_EQ(0, std::memcmp(a->map.src_y + a->map.index(0, y),
+                                 b->map.src_y + b->map.index(0, y), row_bytes))
+            << spec_text << " level " << l << " row " << y;
+      }
       ASSERT_EQ(a->packed.has_value(), b->packed.has_value());
       if (a->packed) {
         EXPECT_EQ(a->packed->fx, b->packed->fx) << spec_text;
@@ -439,10 +445,11 @@ TEST(ServePlanCache, WarmFramesHitAndStayWithinBudget) {
 TEST(ServePlanCache, ByteBudgetEvictsLeastRecentlyUsed) {
   const img::Image8 src = make_src();
   par::ThreadPool pool(2);
-  // 256 KB budget: a 128x96 float-map view costs ~115 KB (map + output +
-  // plan), so only two entries ever fit and older ones must evict.
+  // 32 KB budget: a 128x96 float-map view costs ~12.6 KB (output pixels +
+  // plan tiles; its map is a window of the level LUT), so only two entries
+  // ever fit and older ones must evict.
   Server server(base_config(),
-                ServeOptions::parse("serve:cache_budget=256K"), pool);
+                ServeOptions::parse("serve:cache_budget=32K"), pool);
 
   img::Image8 crop(128, 96, 1);
   for (int i = 0; i < 4; ++i) {
@@ -455,7 +462,7 @@ TEST(ServePlanCache, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_misses, 4u);
   EXPECT_EQ(stats.plan_hits, 0u);
   EXPECT_GE(stats.plan_evictions, 2u);
-  EXPECT_LE(stats.cache_bytes, std::size_t{256} << 10);
+  EXPECT_LE(stats.cache_bytes, std::size_t{32} << 10);
 }
 
 TEST(ServePlanCache, ZeroBudgetServesColdButCorrect) {
@@ -513,6 +520,42 @@ TEST(ServePlanCache, RecalibrateBumpsGenerationAndFlushes) {
   EXPECT_NE(0, mismatches(before.cview(), local, after.cview(), 1));
 }
 
+TEST(ServePlanCache, EntryKeepsItsLevelLutAlive) {
+  // An entry reads its window of the level LUT in place, so it must own a
+  // share of that LUT: with every other handle dropped (as recalibrate()
+  // drops the server's), the entry holds the last one and its plan still
+  // executes exactly; under ASan, a read of a freed table fails here.
+  const img::Image8 src = make_src();
+  const ServerConfig cfg = base_config();
+  const ServeOptions opt = ServeOptions::parse("serve");
+  const img::Image8 ref = reference_level(cfg, opt, 0, src.cview());
+
+  core::LensSpec lens = cfg.lens;
+  lens.fov_deg = util::rad_to_deg(cfg.fov_rad);
+  const auto cam = core::FisheyeCamera::centered(lens, kSrcW, kSrcH);
+  const serve::LevelSpec& level = cfg.levels[0];
+  const core::PerspectiveView view(level.width, level.height,
+                                   cam.lens().dradius_dtheta(0.0));
+  serve::ViewBuildContext build;
+  build.camera = &cam;
+  build.view = &view;
+  build.src_width = kSrcW;
+  build.src_height = kSrcH;
+  build.lut = serve::build_level_lut(build, opt.quantum);
+  const std::weak_ptr<const core::WarpMap> lut = build.lut;
+
+  const serve::ViewKey key{1, 0, {32, 16, 160, 112}};
+  auto entry = serve::build_cached_view(build, key);
+  build.lut.reset();
+  ASSERT_EQ(lut.use_count(), 1);  // the entry's pin is the last handle
+
+  for (const par::Rect& tile : entry->plan.tiles())
+    entry->plan.kernel()(src.cview(), entry->out.view(), tile);
+  EXPECT_EQ(0, mismatches(ref.cview(), key.rect, entry->out.cview(), 1));
+  entry.reset();
+  EXPECT_TRUE(lut.expired());
+}
+
 /// Plans keyed through the level's BlockTable order their tiles exactly as
 /// plans keyed by scanning the window's map: same rects, same order. Levels
 /// are 250x180, so windows touching the right/bottom edges end past the
@@ -553,8 +596,7 @@ TEST(ServePlanCache, BlockTableTileOrderMatchesPerPixelKeys) {
         scan.src_height = kSrcH;
         scan.tile_w = tw;
         scan.tile_h = th;
-        const core::WarpMap lut = serve::build_level_lut(scan, q);
-        scan.lut = &lut;
+        scan.lut = serve::build_level_lut(scan, q);
         const serve::BlockTable blocks = serve::build_level_blocks(scan, q);
         serve::ViewBuildContext keyed = scan;
         keyed.blocks = &blocks;
@@ -696,14 +738,15 @@ TEST(ServePipeline, BackToBackFramesRetireEveryRequestOnce) {
 
 TEST(ServePipeline, OverlappedMissesUnderEvictionRetireOnceAndExact) {
   // Five 40x36 views on two levels, shifted every frame, 400 frames back
-  // to back without drain(). No entry fits the 16 KB budget, so every
+  // to back without drain(). No entry fits the 2 KB budget (the smallest,
+  // a 48x48 quantized window, holds 2.3 KB of output pixels), so every
   // frame's clusters miss: each one is built, inserted and submitted while
   // the frame's earlier clusters execute, and each insert evicts whatever
   // is not pinned. Every tag must retire once with an exact crop.
   const img::Image8 src = make_src();
   const ServerConfig cfg = base_config();
   const ServeOptions opt = ServeOptions::parse(
-      "serve:lanes=4,queue_depth=4,cache_budget=16K,tile=16x16");
+      "serve:lanes=4,queue_depth=4,cache_budget=2K,tile=16x16");
   par::ThreadPool pool(4);
   Server server(cfg, opt, pool);
   const img::Image8 refs[] = {reference_level(cfg, opt, 0, src.cview()),

@@ -181,7 +181,7 @@ TEST(SpePlatform, StealScheduleModelIsPinned) {
   core::ExecContext ctx;
   ctx.src = src.view();
   ctx.dst = out.view();
-  ctx.map = &map;
+  ctx.map = map;
   ctx.mode = core::MapMode::FloatLut;
   ctx.opts = {core::Interp::Bilinear, img::BorderMode::Constant, 0};
   cell.execute(ctx);

@@ -284,7 +284,7 @@ TEST(MortonOrder, OrderedTileScheduleCoversEveryPixelExactlyOnce) {
   core::ExecContext ctx;
   ctx.src = {nullptr, w, h, 1, static_cast<std::size_t>(w)};
   ctx.dst = {nullptr, w, h, 1, static_cast<std::size_t>(w)};
-  ctx.map = corr.map();
+  ctx.map = *corr.map();
   ctx.mode = core::MapMode::FloatLut;
   const std::vector<par::Rect> ordered =
       core::order_tiles_by_source_locality(ctx, tiles);
