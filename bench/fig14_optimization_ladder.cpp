@@ -92,8 +92,9 @@ int main(int argc, char** argv) {
 
   // --- Datapath ladder at 1080p ---
   // The explicit-intrinsics rung on top of the SoA restructuring: AVX2
-  // gather taps, then the plan-time autotuner picking across (datapath,
-  // strip, map) on this host. The serial row runs the Scalar float entry,
+  // gather taps, then the plan-time autotuner timing the alias's SoA
+  // datapath against the gather on this host and naming its pick in the
+  // row's plain cpu: spec. The serial row runs the Scalar float entry,
   // which resolves to the same byte-exact gather kernel wherever it runs.
   // The datapath and isa columns land in the JSON mirror so BENCH_*
   // artifacts record which kernel produced each number.

@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -184,6 +185,23 @@ LoadResult run_load(par::ThreadPool& pool,
   return r;
 }
 
+/// Field-wise median of the rate, latency and cache columns over `runs`.
+LoadResult median_load(const std::vector<LoadResult>& runs) {
+  const auto median = [&runs](double LoadResult::*field) {
+    std::vector<double> v;
+    v.reserve(runs.size());
+    for (const LoadResult& r : runs) v.push_back(r.*field);
+    return rt::percentile(std::move(v), 50.0);
+  };
+  LoadResult m;
+  m.req_per_s = median(&LoadResult::req_per_s);
+  m.p50_ms = median(&LoadResult::p50_ms);
+  m.p99_ms = median(&LoadResult::p99_ms);
+  m.hit_rate = median(&LoadResult::hit_rate);
+  m.tiles_saved = median(&LoadResult::tiles_saved);
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -230,30 +248,42 @@ int main(int argc, char** argv) {
   table.print(std::cout, "F23: serving throughput vs viewer count");
 
   // Ablation at 512 viewers: what the cache and the coalescer each buy.
+  // The three modes run in alternating rounds and every column is the
+  // mode's median, so a slow phase of a shared host hits all three alike:
+  // CI asserts on the warm/x ratios.
   const std::size_t ablation_viewers = 512;
-  const LoadResult warm =
-      run_load(pool, inputs, ablation_viewers, frames, base_spec);
-  const LoadResult cold = run_load(pool, inputs, ablation_viewers, frames,
-                                   base_spec + ",cache_budget=0");
-  const LoadResult uncoalesced = run_load(pool, inputs, ablation_viewers,
-                                          frames, base_spec + ",coalesce=off");
+  constexpr int kAblationRounds = 7;
+  struct Mode {
+    const char* name;
+    std::string spec;
+    std::vector<LoadResult> runs;
+  };
+  std::vector<Mode> modes{{"warm", base_spec, {}},
+                          {"cold", base_spec + ",cache_budget=0", {}},
+                          {"uncoalesced", base_spec + ",coalesce=off", {}}};
+  for (int round = 0; round < kAblationRounds; ++round)
+    for (Mode& m : modes)
+      m.runs.push_back(
+          run_load(pool, inputs, ablation_viewers, frames, m.spec));
 
   util::Table ablation({"mode", "req/s", "p50 ms", "p99 ms", "hit rate",
                         "tiles saved", "warm/x"});
-  const auto row = [&](const char* mode, const LoadResult& r) {
+  const double warm_rps = median_load(modes.front().runs).req_per_s;
+  for (const Mode& m : modes) {
+    const LoadResult r = median_load(m.runs);
     ablation.row()
-        .add(mode)
+        .add(m.name)
         .add(r.req_per_s, 0)
         .add(r.p50_ms, 3)
         .add(r.p99_ms, 3)
         .add(r.hit_rate, 3)
         .add(r.tiles_saved, 2)
-        .add(r.req_per_s > 0.0 ? warm.req_per_s / r.req_per_s : 0.0, 2);
-  };
-  row("warm", warm);
-  row("cold", cold);
-  row("uncoalesced", uncoalesced);
-  ablation.print(std::cout, "F23: serving-layer ablation at 512 viewers");
+        .add(r.req_per_s > 0.0 ? warm_rps / r.req_per_s : 0.0, 2);
+  }
+  ablation.print(std::cout,
+                 "F23: serving-layer ablation at 512 viewers (median of " +
+                     std::to_string(kAblationRounds) +
+                     " alternating rounds)");
 
   std::cout << "expected shape: req/s grows with viewers while clusters/frame "
                "collapses to a handful — zipf duplicates dedup outright and "

@@ -12,7 +12,6 @@
 #include "core/projection.hpp"
 #include "runtime/timer.hpp"
 #include "util/cpu.hpp"
-#include "util/error.hpp"
 
 namespace fisheye::core {
 
@@ -27,7 +26,16 @@ const char* cache_file() {
 /// this token — older format, different tool, truncation that ate the
 /// header, binary garbage — is ignored wholesale and rewritten on the next
 /// store(); decisions are cheap to re-measure and must never be poisoned.
-constexpr const char* kDiskFormatTag = "fisheye-tune-cache/1";
+/// Version 2 stores candidate labels ("datapath=gather", "tile=64x64").
+constexpr const char* kDiskFormatTag = "fisheye-tune-cache/2";
+
+/// A stored label is non-empty printable ASCII without spaces: what
+/// candidates are named, so anything else is a damaged line.
+bool plausible_label(const std::string& label) {
+  return !label.empty() &&
+         std::all_of(label.begin(), label.end(),
+                     [](char c) { return c > ' ' && c <= '~'; });
+}
 
 }  // namespace
 
@@ -44,21 +52,20 @@ void AutotuneCache::load_disk_locked() {
   std::ifstream in(path);
   std::string line;
   if (!std::getline(in, line) || line != kDiskFormatTag) return;
+  // A hand-edited, torn or stale line never breaks tuning: it is skipped
+  // here, or (a label no candidate carries any more) re-measured by
+  // autotune_select.
   while (std::getline(in, line)) {
+    if (in.eof()) break;  // the last line lost its newline: a torn write
     const std::size_t tab = line.find('\t');
     if (tab == std::string::npos || tab == 0) continue;
-    try {
-      entries_.insert_or_assign(line.substr(0, tab),
-                                TunedSpec::parse(line.substr(tab + 1)));
-    } catch (const std::exception&) {
-      // A hand-edited, truncated, or stale line never breaks tuning — the
-      // decision is simply re-measured. std::exception, not just
-      // InvalidArgument: numeric parsing throws std:: types too.
-    }
+    std::string label = line.substr(tab + 1);
+    if (!plausible_label(label)) continue;
+    entries_.insert_or_assign(line.substr(0, tab), std::move(label));
   }
 }
 
-std::optional<TunedSpec> AutotuneCache::lookup(const std::string& key) {
+std::optional<std::string> AutotuneCache::lookup(const std::string& key) {
   const std::scoped_lock lock(mu_);
   load_disk_locked();
   const auto it = entries_.find(key);
@@ -70,10 +77,10 @@ std::optional<TunedSpec> AutotuneCache::lookup(const std::string& key) {
   return it->second;
 }
 
-void AutotuneCache::store(const std::string& key, const TunedSpec& spec) {
+void AutotuneCache::store(const std::string& key, const std::string& label) {
   const std::scoped_lock lock(mu_);
   load_disk_locked();
-  entries_.insert_or_assign(key, spec);
+  entries_.insert_or_assign(key, label);
   ++stats_.stores;
   if (const char* path = cache_file()) {
     // Rewrite the whole file: it holds a handful of lines and rewriting
@@ -81,7 +88,7 @@ void AutotuneCache::store(const std::string& key, const TunedSpec& spec) {
     // version-skewed file the load pass ignored).
     std::ofstream out(path, std::ios::trunc);
     out << kDiskFormatTag << '\n';
-    for (const auto& [k, v] : entries_) out << k << '\t' << v.token() << '\n';
+    for (const auto& [k, v] : entries_) out << k << '\t' << v << '\n';
   }
 }
 
@@ -131,13 +138,16 @@ std::string autotune_cache_key(const ExecContext& ctx,
   return key;
 }
 
-std::optional<TunedSpec> autotune_select(
+std::optional<CpuOptions> autotune_select(
     const ExecContext& ctx, const std::string& cache_key,
     const std::vector<AutotuneCandidate>& candidates,
     const AutotunePlanFn& plan_fn, const AutotuneExecFn& exec_fn, int warmup,
     int frames) {
   if (candidates.empty()) return std::nullopt;
-  if (auto cached = AutotuneCache::instance().lookup(cache_key)) return cached;
+  if (const auto label = AutotuneCache::instance().lookup(cache_key)) {
+    for (const AutotuneCandidate& cand : candidates)
+      if (cand.label == *label) return cand.options;
+  }
 
   // Synthesized measurement frames: the caller's views may be null at plan
   // time, and probing must never write a caller's real output frame. A
@@ -158,7 +168,7 @@ std::optional<TunedSpec> autotune_select(
   mctx.dst = dst.view();
 
   struct Scored {
-    TunedSpec spec;
+    const AutotuneCandidate* cand = nullptr;
     ExecutionPlan plan;
     double seconds = std::numeric_limits<double>::infinity();
   };
@@ -173,9 +183,9 @@ std::optional<TunedSpec> autotune_select(
   scored.reserve(candidates.size());
   for (const AutotuneCandidate& cand : candidates) {
     Scored s;
-    s.spec = cand.spec;
+    s.cand = &cand;
     try {
-      s.plan = plan_fn(mctx, cand.spec);
+      s.plan = plan_fn(mctx, cand.options);
       for (int i = 0; i < warmup; ++i) exec_fn(s.plan, mctx);
       probe(s, frames);
     } catch (const std::exception&) {
@@ -204,8 +214,8 @@ std::optional<TunedSpec> autotune_select(
       scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(finalists),
       [](const Scored& a, const Scored& b) { return a.seconds < b.seconds; });
   if (!std::isfinite(winner->seconds)) return std::nullopt;
-  AutotuneCache::instance().store(cache_key, winner->spec);
-  return winner->spec;
+  AutotuneCache::instance().store(cache_key, winner->cand->label);
+  return winner->cand->options;
 }
 
 }  // namespace fisheye::core

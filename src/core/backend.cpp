@@ -12,7 +12,6 @@
 #include "parallel/work_stealing.hpp"
 #include "runtime/timer.hpp"
 #include "simd/remap_gather.hpp"
-#include "simd/remap_simd.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -85,95 +84,6 @@ const char* DatapathChoice::token(KernelVariant v) noexcept {
   return "?";
 }
 
-std::string TunedSpec::token() const {
-  std::string out;
-  out += datapath ? DatapathChoice::token(*datapath) : "-";
-  out += '/';
-  out += strip > 0 ? std::to_string(strip) : "-";
-  out += '/';
-  if (tile_w > 0 && tile_h > 0)
-    out += std::to_string(tile_w) + 'x' + std::to_string(tile_h);
-  else
-    out += '-';
-  out += '/';
-  if (map) {
-    // MapChoice::spec_text() is "map=<token>"; the slot wants the token.
-    const std::string m = map->spec_text();
-    out += m.substr(m.find('=') + 1);
-  } else {
-    out += '-';
-  }
-  return out;
-}
-
-TunedSpec TunedSpec::parse(const std::string& value) {
-  std::vector<std::string> parts;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t pos = value.find('/', start);
-    if (pos == std::string::npos) {
-      parts.push_back(value.substr(start));
-      break;
-    }
-    parts.push_back(value.substr(start, pos - start));
-    start = pos + 1;
-  }
-  if (parts.size() != 4)
-    throw InvalidArgument("tuned=: expected 'auto' or " +
-                          std::string("<datapath|->/<strip|->/<WxH|->/") +
-                          "<map|->, got '" + value + "'");
-  TunedSpec t;
-  try {
-    if (parts[0] != "-") t.datapath = DatapathChoice::parse(parts[0]);
-    if (parts[1] != "-") {
-      std::size_t used = 0;
-      t.strip = std::stoi(parts[1], &used);
-      if (used != parts[1].size() || t.strip < 1)
-        throw InvalidArgument("tuned=: strip expects a positive integer, "
-                              "got '" + parts[1] + "'");
-    }
-    if (parts[2] != "-") {
-      const std::size_t x = parts[2].find('x');
-      std::size_t uw = 0, uh = 0;
-      if (x == std::string::npos)
-        throw InvalidArgument("tuned=: tile expects WxH, got '" + parts[2] +
-                              "'");
-      const std::string ws = parts[2].substr(0, x);
-      const std::string hs = parts[2].substr(x + 1);
-      t.tile_w = std::stoi(ws, &uw);
-      t.tile_h = std::stoi(hs, &uh);
-      if (uw != ws.size() || uh != hs.size() || t.tile_w < 1 || t.tile_h < 1)
-        throw InvalidArgument("tuned=: tile expects WxH, got '" + parts[2] +
-                              "'");
-    }
-    if (parts[3] != "-") t.map = MapChoice::parse(parts[3]);
-  } catch (const InvalidArgument& e) {
-    const std::string what = e.what();
-    if (what.rfind("tuned=", 0) == 0) throw;
-    throw InvalidArgument("tuned=: " + what);
-  } catch (const std::exception&) {
-    throw InvalidArgument("tuned=: malformed token '" + value + "'");
-  }
-  return t;
-}
-
-std::string TunedChoice::spec_text() const {
-  if (!requested) return {};
-  return "tuned=" + (pending ? std::string("auto") : spec.token());
-}
-
-TunedChoice TunedChoice::parse(const std::string& value) {
-  TunedChoice c;
-  c.requested = true;
-  if (value == "auto") {
-    c.pending = true;
-    return c;
-  }
-  c.pending = false;
-  c.spec = TunedSpec::parse(value);
-  return c;
-}
-
 par::Schedule ScheduleChoice::parse(const std::string& value) {
   if (value == "static") return par::Schedule::Static;
   if (value == "dynamic") return par::Schedule::Dynamic;
@@ -197,12 +107,12 @@ ExecutionPlan Backend::make_plan(const ExecContext& ctx,
                                  std::vector<par::Rect> tiles,
                                  std::shared_ptr<void> state,
                                  std::shared_ptr<const ConvertedMap> converted,
-                                 KernelVariant variant, int soa_strip) const {
+                                 KernelVariant variant) const {
   ExecutionPlan p(plan_key(ctx, cached_name()), std::move(tiles),
                   std::move(state));
   const ExecContext ectx = converted ? converted->apply(ctx) : ctx;
   p.set_converted(std::move(converted));
-  p.set_kernel(resolve_kernel(ectx, variant, soa_strip));
+  p.set_kernel(resolve_kernel(ectx, variant));
   Workspace& ws = p.workspace();
   ws.bytes_in_estimate = estimate_bytes_in(ectx);
   ws.bytes_out_estimate = estimate_bytes_out(ectx);
@@ -217,37 +127,31 @@ void Backend::check_plan(const ExecutionPlan& plan,
 ExecContext Backend::resolve_map(
     const ExecContext& ctx,
     std::shared_ptr<const ConvertedMap>& converted) const {
-  return resolve_map(ctx, converted, map_choice_);
-}
-
-ExecContext Backend::resolve_map(
-    const ExecContext& ctx, std::shared_ptr<const ConvertedMap>& converted,
-    const MapChoice& choice) const {
   converted = nullptr;
-  if (!choice.set()) return ctx;
-  const MapMode want = *choice.mode;
+  if (!map_choice_.set()) return ctx;
+  const MapMode want = *map_choice_.mode;
   const bool already =
       want == ctx.mode &&
       (want != MapMode::CompactLut ||
-       (ctx.compact != nullptr && ctx.compact->stride == choice.stride));
+       (ctx.compact != nullptr && ctx.compact->stride == map_choice_.stride));
   if (already) return ctx;
   if (ctx.map.empty())
-    throw InvalidArgument(name() + ": " + choice.spec_text() +
+    throw InvalidArgument(name() + ": " + map_choice_.spec_text() +
                           " needs the context's float map to convert "
                           "from, but the context (mode " +
                           map_mode_name(ctx.mode) + ") carries none");
   if ((want == MapMode::PackedLut || want == MapMode::CompactLut) &&
       ctx.opts.interp != Interp::Bilinear)
-    throw InvalidArgument(name() + ": " + choice.spec_text() +
+    throw InvalidArgument(name() + ": " + map_choice_.spec_text() +
                           " supports bilinear interpolation only");
   auto conv = std::make_shared<ConvertedMap>();
   conv->mode = want;
   if (want == MapMode::PackedLut) {
     conv->packed = pack_map(ctx.map, ctx.src.width, ctx.src.height,
-                            choice.frac_bits);
+                            map_choice_.frac_bits);
   } else if (want == MapMode::CompactLut) {
     conv->compact = compact_map(ctx.map, ctx.src.width, ctx.src.height,
-                                choice.stride, choice.frac_bits);
+                                map_choice_.stride, map_choice_.frac_bits);
   } else if (want == MapMode::OnTheFly) {
     throw InvalidArgument(name() + ": map= cannot select on-the-fly");
   }
@@ -257,14 +161,10 @@ ExecContext Backend::resolve_map(
 }
 
 std::string Backend::decorate_spec(std::string spec) const {
-  const auto append = [&spec](const std::string& opt) {
-    if (opt.empty()) return;
-    spec += spec.find(':') == std::string::npos ? ':' : ',';
-    spec += opt;
-  };
-  append(map_choice_.spec_text());
-  append(tuned_.spec_text());
-  return spec;
+  const std::string opt = map_choice_.spec_text();
+  if (opt.empty()) return spec;
+  spec += spec.find(':') == std::string::npos ? ':' : ',';
+  return spec + opt;
 }
 
 CpuBackend::CpuBackend(CpuOptions options, unsigned threads)
@@ -278,6 +178,11 @@ CpuBackend::CpuBackend(CpuOptions options, unsigned threads)
 
 CpuBackend::CpuBackend(par::ThreadPool& pool, CpuOptions options)
     : options_(options), pool_(pool.size() > 1 ? &pool : nullptr) {}
+
+void CpuBackend::autotune_on_first_plan() noexcept {
+  tune_pending_ = true;
+  forget_name();
+}
 
 std::string CpuBackend::name() const {
   std::ostringstream os;
@@ -302,34 +207,31 @@ std::string CpuBackend::name() const {
   }
   if (options_.datapath != KernelVariant::Scalar)
     os << ",datapath=" << DatapathChoice::token(options_.datapath);
-  return decorate_spec(os.str());
+  std::string spec = decorate_spec(os.str());
+  if (tune_pending_) spec += ",tuned=auto";
+  return spec;
 }
 
 ExecutionPlan CpuBackend::plan(const ExecContext& ctx) {
   maybe_autotune(ctx);
-  const TunedChoice& t = tuned();
-  return plan_with(ctx, t.requested && !t.pending ? t.spec : TunedSpec{});
+  return plan_with(ctx, options_);
 }
 
 ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
-                                    const TunedSpec& t) {
+                                    const CpuOptions& o) {
   std::shared_ptr<const ConvertedMap> converted;
-  const ExecContext ectx =
-      resolve_map(ctx, converted, t.map ? *t.map : map_choice());
+  const ExecContext ectx = resolve_map(ctx, converted);
   std::vector<par::Rect> tiles;
-  if (!options_.partition && threads() == 1) {
+  if (!o.partition && threads() == 1) {
     tiles = {par::Rect{0, 0, ctx.dst.width, ctx.dst.height}};
   } else {
-    const int chunks = options_.chunks != 0
-                           ? options_.chunks
-                           : static_cast<int>(threads()) * 4;
-    tiles = par::partition(
-        ctx.dst.width, ctx.dst.height,
-        options_.partition.value_or(par::PartitionKind::RowBlocks), chunks,
-        t.tile_w > 0 ? t.tile_w : options_.tile_w,
-        t.tile_h > 0 ? t.tile_h : options_.tile_h);
+    const int chunks =
+        o.chunks != 0 ? o.chunks : static_cast<int>(threads()) * 4;
+    tiles = par::partition(ctx.dst.width, ctx.dst.height,
+                           o.partition.value_or(par::PartitionKind::RowBlocks),
+                           chunks, o.tile_w, o.tile_h);
   }
-  const bool steal = options_.schedule == par::Schedule::Steal;
+  const bool steal = o.schedule == par::Schedule::Steal;
   if (steal) {
     // Reorder the partition by source locality once, at plan time, and
     // pre-split it into the lanes' initial runs. The effective
@@ -337,9 +239,8 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
     // will actually gather from.
     tiles = order_tiles_by_source_locality(ectx, std::move(tiles));
   }
-  ExecutionPlan p =
-      make_plan(ctx, std::move(tiles), nullptr, std::move(converted),
-                t.datapath.value_or(options_.datapath), t.strip);
+  ExecutionPlan p = make_plan(ctx, std::move(tiles), nullptr,
+                              std::move(converted), o.datapath);
   if (steal) {
     // The tiles are stored in steal order; each lane's initial run of
     // positions is balanced by tile area.
@@ -353,56 +254,56 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
 }
 
 void CpuBackend::maybe_autotune(const ExecContext& ctx) {
-  if (!tuned().requested || !tuned().pending) return;
+  if (!tune_pending_) return;
+  // Each candidate is these options with one knob rewritten, labelled by
+  // the option text it writes; a value already listed is not timed twice.
   std::vector<AutotuneCandidate> cands;
+  const auto add = [&cands](std::string label, const CpuOptions& o) {
+    for (const AutotuneCandidate& c : cands)
+      if (c.label == label) return;
+    cands.push_back({std::move(label), o});
+  };
   if (!options_.partition) {
-    // Whole frame or default row blocks: the measured axes are the kernel
-    // datapath and its strip length.
-    std::vector<KernelVariant> variants{KernelVariant::SimdSoa};
-    if (simd::gather_available())
-      variants.push_back(KernelVariant::SimdGather);
-    for (const KernelVariant v : variants) {
-      for (const int strip : {128, simd::kSoaStrip}) {
-        TunedSpec t;
-        t.datapath = v;
-        t.strip = strip;
-        cands.push_back({t, t.token()});
-      }
-    }
-    // Map-representation candidate: trading the float LUT for a compact
-    // grid often wins on bandwidth; only probed when the context can
-    // convert and the user didn't pin map= explicitly.
-    if (!map_choice().set() && ctx.mode == MapMode::FloatLut &&
-        !ctx.map.empty() && ctx.opts.interp == Interp::Bilinear) {
-      for (const KernelVariant v : variants) {
-        TunedSpec t;
-        t.datapath = v;
-        t.map = MapChoice::parse("compact:8");
-        cands.push_back({t, t.token()});
-      }
-    }
+    // Whole frame or default row blocks: the spec's own datapath against
+    // the gather, which is exact on every map, so the pick is never less
+    // exact than what the spec asked for (SoA is timed only when named).
+    const auto add_datapath = [&](KernelVariant v) {
+      CpuOptions o = options_;
+      o.datapath = v;
+      add(std::string("datapath=") + DatapathChoice::token(v), o);
+    };
+    add_datapath(options_.datapath);
+    if (simd::gather_available()) add_datapath(KernelVariant::SimdGather);
   } else if (*options_.partition == par::PartitionKind::Tiles) {
     // The tile shape is a measured axis only under a Tiles partition
-    // (row/column/cyclic decompositions ignore tile=).
-    cands.push_back({TunedSpec{}, "default"});
+    // (row/column/cyclic decompositions ignore tile=): the spec's own
+    // shape and four fixed ones.
+    const auto add_tile = [&](int w, int h) {
+      CpuOptions o = options_;
+      o.tile_w = w;
+      o.tile_h = h;
+      add("tile=" + std::to_string(w) + 'x' + std::to_string(h), o);
+    };
+    add_tile(options_.tile_w, options_.tile_h);
     constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
-    for (const auto& wh : kTiles) {
-      TunedSpec t;
-      t.tile_w = wh[0];
-      t.tile_h = wh[1];
-      cands.push_back({t, "tile " + t.token()});
-    }
-  } else {
-    resolve_tuned(TunedSpec{});
-    return;
+    for (const auto& wh : kTiles) add_tile(wh[0], wh[1]);
   }
-  const auto best = autotune_select(
-      ctx, autotune_cache_key(ctx, cached_name()), cands,
-      [this](const ExecContext& c, const TunedSpec& t) {
-        return plan_with(c, t);
-      },
-      [this](const ExecutionPlan& p, const ExecContext& c) { execute(p, c); });
-  if (best) resolve_tuned(*best);
+  if (cands.size() > 1) {
+    const std::optional<CpuOptions> best = autotune_select(
+        ctx, autotune_cache_key(ctx, cached_name()), cands,
+        [this](const ExecContext& c, const CpuOptions& o) {
+          return plan_with(c, o);
+        },
+        [this](const ExecutionPlan& p, const ExecContext& c) {
+          execute(p, c);
+        });
+    // No candidate planned: stay pending, and let the untuned plan
+    // surface the real error.
+    if (!best) return;
+    options_ = *best;
+  }
+  tune_pending_ = false;
+  forget_name();
 }
 
 void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {

@@ -76,43 +76,6 @@ struct DatapathChoice {
   static constexpr const char* kHelp = "datapath=scalar|soa|gather";
 };
 
-/// One point of the plan-time tuning space the autotuner searches: kernel
-/// datapath, SoA strip length, tile shape, and map representation. Unset
-/// axes (nullopt / 0) keep the backend's configured default for that axis.
-struct TunedSpec {
-  std::optional<KernelVariant> datapath;
-  int strip = 0;                 ///< SoA/gather strip pixels (0 = default)
-  int tile_w = 0, tile_h = 0;    ///< tile partition override (0 = default)
-  std::optional<MapChoice> map;  ///< map-representation override
-
-  /// Canonical slash token, e.g. "gather/128/-/-" ('-' = axis unset).
-  [[nodiscard]] std::string token() const;
-  /// Parse a token (a tuned= value other than "auto"). Throws
-  /// InvalidArgument naming the tuned= option.
-  static TunedSpec parse(const std::string& value);
-
-  [[nodiscard]] bool operator==(const TunedSpec&) const noexcept = default;
-};
-
-/// tuned= option state carried by a backend: requested-but-pending
-/// ("tuned=auto" before the first plan measures) or resolved to a concrete
-/// TunedSpec — in which case name() carries the resolved token and
-/// BackendRegistry::create(name()) reconstructs the tuned backend without
-/// re-measurement.
-struct TunedChoice {
-  bool requested = false;
-  bool pending = false;
-  TunedSpec spec;
-
-  /// "tuned=auto", "tuned=<token>", or "" when not requested.
-  [[nodiscard]] std::string spec_text() const;
-  /// Parse the tuned= option value ("auto" or a TunedSpec token).
-  static TunedChoice parse(const std::string& value);
-  /// The option values tuning-aware backends accept, for help text.
-  static constexpr const char* kHelp =
-      "tuned=auto|<datapath|->/<strip|->/<WxH|->/<map|->";
-};
-
 /// Strategy interface with a plan/execute split.
 ///
 /// Thread-safety: plan() is const-like and reentrant; a given ExecutionPlan
@@ -159,34 +122,19 @@ class Backend {
     return map_choice_;
   }
 
-  /// Spec-selected tuning (the tuned= option). "auto" defers the choice to
-  /// plan time: the first plan() measures the backend's candidate set on
-  /// synthesized frames (core/autotune.hpp) and locks the winner into the
-  /// name, so create(name()) round-trips without re-measuring.
-  void set_tuned(const TunedChoice& choice) {
-    tuned_ = choice;
-    name_cache_.clear();
-  }
-  [[nodiscard]] const TunedChoice& tuned() const noexcept { return tuned_; }
-
  protected:
   /// Stamp a plan with this backend's key for `ctx`: resolves the tile
-  /// kernel (of `variant`, `soa_strip`) against the effective — post map=
-  /// conversion — context, attaches `converted`, and stores the plan-time
-  /// byte estimates in the plan's Workspace.
+  /// kernel (of `variant`) against the effective — post map= conversion —
+  /// context, attaches `converted`, and stores the plan-time byte
+  /// estimates in the plan's Workspace.
   [[nodiscard]] ExecutionPlan make_plan(
       const ExecContext& ctx, std::vector<par::Rect> tiles,
       std::shared_ptr<void> state = nullptr,
       std::shared_ptr<const ConvertedMap> converted = nullptr,
-      KernelVariant variant = KernelVariant::Scalar, int soa_strip = 0) const;
+      KernelVariant variant = KernelVariant::Scalar) const;
 
-  /// Lock a measured tuned= winner in: subsequent name()/plan() calls carry
-  /// the resolved token instead of "auto".
-  void resolve_tuned(const TunedSpec& spec) {
-    tuned_.spec = spec;
-    tuned_.pending = false;
-    name_cache_.clear();
-  }
+  /// Drop the cached name after an option that name() prints changes.
+  void forget_name() noexcept { name_cache_.clear(); }
 
   /// Validate plan/context agreement at the top of execute() overrides.
   void check_plan(const ExecutionPlan& plan, const ExecContext& ctx) const;
@@ -199,24 +147,16 @@ class Backend {
       const ExecContext& ctx,
       std::shared_ptr<const ConvertedMap>& converted) const;
 
-  /// Same, for an explicit choice (a tuned= map override instead of the
-  /// backend's own map= option).
-  [[nodiscard]] ExecContext resolve_map(
-      const ExecContext& ctx, std::shared_ptr<const ConvertedMap>& converted,
-      const MapChoice& choice) const;
-
   /// name(), computed once and cached: the steady-state paths compare it
   /// every frame and must not pay a string allocation to do so.
   [[nodiscard]] const std::string& cached_name() const;
 
-  /// Append the canonical map= and tuned= options to a spec string (no-op
-  /// for unset choices).
+  /// Append the canonical map= option to a spec string (no-op when unset).
   [[nodiscard]] std::string decorate_spec(std::string spec) const;
 
  private:
   ExecutionPlan cached_plan_;
   MapChoice map_choice_;
-  TunedChoice tuned_;
   mutable std::string name_cache_;
 };
 
@@ -255,6 +195,12 @@ class CpuBackend final : public Backend {
   /// Runs on `pool`, which must outlive the backend.
   explicit CpuBackend(par::ThreadPool& pool, CpuOptions options = {});
 
+  /// The tuned=auto option: the first plan() measures candidate datapaths
+  /// or tile shapes (core/autotune.hpp) and writes the winner into this
+  /// backend's options. name() carries tuned=auto until then and a plain
+  /// cpu: spec after, which create() rebuilds without measuring.
+  void autotune_on_first_plan() noexcept;
+
   using Backend::execute;
   [[nodiscard]] ExecutionPlan plan(const ExecContext& ctx) override;
   void execute(const ExecutionPlan& plan, const ExecContext& ctx) override;
@@ -264,15 +210,17 @@ class CpuBackend final : public Backend {
   [[nodiscard]] unsigned threads() const noexcept {
     return pool_ != nullptr ? pool_->size() : 1;
   }
-  /// plan() with explicit tuning overrides (datapath, strip, tile, map);
-  /// the autotuner's probe path and the resolved tuned= path.
+  /// The plan for `ctx` under options `o`: plan() passes the backend's
+  /// own, the autotuner each candidate's.
   [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
-                                        const TunedSpec& t);
+                                        const CpuOptions& o);
   /// Resolve a pending tuned=auto by measuring the candidate set on
   /// synthesized frames of ctx's geometry.
   void maybe_autotune(const ExecContext& ctx);
 
   CpuOptions options_;
+  /// tuned=auto whose first plan() has not measured yet.
+  bool tune_pending_ = false;
   std::unique_ptr<par::ThreadPool> owned_pool_;
   /// Null at one thread.
   par::ThreadPool* pool_ = nullptr;

@@ -194,16 +194,15 @@ par::Schedule schedule_option(BackendSpec& spec, par::Schedule def) {
   }
 }
 
-/// Parse a spec's `tuned=` option through TunedChoice, prefixing errors
-/// with the offending spec text. No-op when absent.
-void apply_tuned_option(BackendSpec& spec, Backend& backend) {
+/// Parse a spec's `tuned=` option, whose one value is `auto`. No-op when
+/// absent.
+void apply_tuned_option(BackendSpec& spec, CpuBackend& backend) {
   const auto v = spec.value("tuned");
   if (!v) return;
-  try {
-    backend.set_tuned(TunedChoice::parse(*v));
-  } catch (const InvalidArgument& e) {
-    throw InvalidArgument("backend spec '" + spec.text() + "': " + e.what());
-  }
+  if (*v != "auto")
+    throw InvalidArgument("backend spec '" + spec.text() +
+                          "': tuned=: expected 'auto', got '" + *v + "'");
+  backend.autotune_on_first_plan();
 }
 
 /// Parse a spec's `threads=` option, range-checked; `def` when absent.
@@ -264,7 +263,7 @@ constexpr const char* kCpuOptions =
     "threads=N, schedule=static|dynamic|guided|steal, "
     "rows[=N]|cols[=N]|cyclic|tiles, chunks=N, tile=WxH, "
     "datapath=scalar|soa|gather, map=float|packed|compact:<stride>, "
-    "tuned=auto|<spec>";
+    "tuned=auto";
 
 std::unique_ptr<Backend> make_cpu(BackendSpec& spec) {
   CpuOptions o;
@@ -282,7 +281,7 @@ constexpr const char* kPoolOptions =
     "static|dynamic|guided|steal (or schedule=static|dynamic|guided|steal), "
     "rows[=N]|cyclic|tiles|cols[=N], chunks=N, "
     "tile=WxH, threads=N, map=float|packed|compact:<stride>, "
-    "tuned=auto|<spec>";
+    "tuned=auto";
 
 /// `pool`: cpu over a named partition (rows by default), any number of
 /// threads (0 = hardware concurrency, the default).
@@ -304,7 +303,7 @@ std::unique_ptr<Backend> make_pool(BackendSpec& spec) {
 
 constexpr const char* kSimdOptions =
     "threads=N (1 = no pool), datapath=scalar|soa|gather, "
-    "map=float|compact:<stride>, tuned=auto|<spec>";
+    "map=float|packed|compact:<stride>, tuned=auto";
 
 /// `simd`: cpu with the SoA datapath by default, the dynamic schedule on
 /// more than one thread, and the process-wide pool when threads= is absent.

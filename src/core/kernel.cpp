@@ -80,14 +80,13 @@ void k_otf_lanczos3(const KernelBinding& b, const TileArgs& a) {
 
 void k_simd_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
-  simd::remap_bilinear_soa(a.src, a.dst, b.map, a.rect, b.opts.fill, scratch,
-                           b.soa_strip);
+  simd::remap_bilinear_soa(a.src, a.dst, b.map, a.rect, b.opts.fill, scratch);
 }
 
 void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
   simd::remap_compact_soa(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                          scratch, b.soa_strip);
+                          scratch);
 }
 
 // --- AVX2 gather kernels (catalogued for constant border) ---------------
@@ -97,19 +96,19 @@ void k_simd_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
 void k_gather_float_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
   simd::remap_bilinear_gather(a.src, a.dst, b.map, a.rect, a.src_off_x,
-                              a.src_off_y, b.opts, scratch, b.soa_strip);
+                              a.src_off_y, b.opts, scratch);
 }
 
 void k_gather_packed_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
   simd::remap_packed_gather(a.src, a.dst, *b.packed, a.rect, b.opts.fill,
-                            scratch, b.soa_strip);
+                            scratch);
 }
 
 void k_gather_compact_bilinear(const KernelBinding& b, const TileArgs& a) {
   simd::SoaScratch scratch;
   simd::remap_compact_gather(a.src, a.dst, *b.compact, a.rect, b.opts.fill,
-                             scratch, b.soa_strip);
+                             scratch);
 }
 
 // --- the catalogue ------------------------------------------------------
@@ -225,8 +224,7 @@ KernelVariant effective_variant(const ExecContext& ctx,
   return wanted;
 }
 
-ResolvedKernel resolve_kernel(const ExecContext& ctx, KernelVariant variant,
-                              int soa_strip) {
+ResolvedKernel resolve_kernel(const ExecContext& ctx, KernelVariant variant) {
   variant = effective_variant(ctx, variant);
   const KernelKey key{ctx.mode, ctx.opts.interp, ctx.opts.border,
                       PixelLayout::InterleavedU8, variant};
@@ -246,7 +244,6 @@ ResolvedKernel resolve_kernel(const ExecContext& ctx, KernelVariant variant,
   b.fast_math = ctx.fast_math;
   b.src_width = ctx.src.width;
   b.src_height = ctx.src.height;
-  b.soa_strip = soa_strip;
   if (ctx.mode == MapMode::FloatLut) {
     FE_EXPECTS(!ctx.map.empty());
     b.map = ctx.map;

@@ -100,9 +100,6 @@ struct KernelBinding {
   int src_height = 0;
   RemapOptions opts;
   bool fast_math = false;
-  /// SoA/gather strip length in pixels (0 = simd::kSoaStrip); a plan-time
-  /// tuning knob — the scratch arrays bound it, so kernels clamp.
-  int soa_strip = 0;
 };
 
 /// Per-call operands: the frame's pixel views, the output rectangle, and —
@@ -168,13 +165,11 @@ class ResolvedKernel {
                                               KernelVariant wanted) noexcept;
 
 /// Look up the kernel for `ctx` and bind its frame-invariant operands.
-/// `variant` is first passed through effective_variant(); `soa_strip`
-/// (0 = default) is bound for the SoA/gather strip kernels. Throws
+/// `variant` is first passed through effective_variant(). Throws
 /// InvalidArgument (naming the unsupported combination) when the catalogue
 /// has no kernel for the context's key.
 [[nodiscard]] ResolvedKernel resolve_kernel(
-    const ExecContext& ctx, KernelVariant variant = KernelVariant::Scalar,
-    int soa_strip = 0);
+    const ExecContext& ctx, KernelVariant variant = KernelVariant::Scalar);
 
 /// True when the catalogue has a kernel for `key`.
 [[nodiscard]] bool kernel_supported(const KernelKey& key) noexcept;

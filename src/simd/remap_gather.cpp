@@ -43,12 +43,6 @@ bool gather_available() noexcept {
 
 namespace {
 
-/// Clamp a requested strip length into what the scratch arrays can hold.
-inline int clamp_strip(int strip) noexcept {
-  if (strip <= 0) return kSoaStrip;
-  return std::clamp(strip, 8, kSoaStrip);
-}
-
 /// One pixel of the 8.8 integer blend from scratch slot `i` (ch == 1).
 inline std::uint8_t blend_one(const SoaScratch& s, int i,
                               const std::uint8_t* __restrict base,
@@ -380,8 +374,8 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            core::MapView map, par::Rect rect,
                            int src_off_x, int src_off_y,
-                           const core::RemapOptions& opts, SoaScratch& scratch,
-                           int strip) {
+                           const core::RemapOptions& opts,
+                           SoaScratch& scratch) {
   // The per-pixel kernel's preconditions (core/remap.cpp), unchanged.
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
@@ -390,7 +384,6 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
   FE_EXPECTS(!rect.empty());
 
   SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
   const int src_w = src.width;
   const int src_h = src.height;
@@ -401,8 +394,8 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
     const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* __restrict out_row = dst.row(y);
 
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
+    for (int xb = rect.x0; xb < rect.x1; xb += kSoaStrip) {
+      const int n = std::min(kSoaStrip, rect.x1 - xb);
       const float* __restrict mx = map.src_x + row + xb;
       const float* __restrict my = map.src_y + row + xb;
 
@@ -436,14 +429,13 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
 void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
                          img::ImageView<std::uint8_t> dst,
                          const core::PackedMap& map, par::Rect rect,
-                         std::uint8_t fill, SoaScratch& scratch, int strip) {
+                         std::uint8_t fill, SoaScratch& scratch) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
              rect.y1 <= dst.height);
 
   SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
   const std::size_t pitch = src.pitch;
   const std::size_t total = pitch * static_cast<std::size_t>(src.height);
@@ -458,8 +450,8 @@ void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
     const std::size_t row = static_cast<std::size_t>(y) * map.width;
     std::uint8_t* __restrict out_row = dst.row(y);
 
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
+    for (int xb = rect.x0; xb < rect.x1; xb += kSoaStrip) {
+      const int n = std::min(kSoaStrip, rect.x1 - xb);
       const std::int32_t* __restrict pfx = map.fx.data() + row + xb;
       const std::int32_t* __restrict pfy = map.fy.data() + row + xb;
 
@@ -490,7 +482,7 @@ void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
 void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
                           img::ImageView<std::uint8_t> dst,
                           const core::CompactMap& map, par::Rect rect,
-                          std::uint8_t fill, SoaScratch& scratch, int strip) {
+                          std::uint8_t fill, SoaScratch& scratch) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(src.width == map.src_width && src.height == map.src_height);
@@ -498,7 +490,6 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
              rect.y1 <= dst.height);
 
   SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
   const std::size_t pitch = src.pitch;
   const std::size_t total = pitch * static_cast<std::size_t>(src.height);
@@ -527,15 +518,16 @@ void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
     const std::size_t g1 = g0 + map.grid_w;
     std::uint8_t* __restrict out_row = dst.row(y);
 
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
+    for (int xb = rect.x0; xb < rect.x1; xb += kSoaStrip) {
+      const int n = std::min(kSoaStrip, rect.x1 - xb);
 
       // Ahead of pass 1: warm the NEXT strip's source lines while this
       // strip's arithmetic hides the latency — by the time its gathers
       // issue, the lines are (at worst) in flight.
-      if (xb + len < rect.x1)
-        prefetch_strip_sources(map, src.data, pitch, ch, g0, g1, xb + len,
-                               std::min(rect.x1, xb + 2 * len));
+      if (xb + kSoaStrip < rect.x1)
+        prefetch_strip_sources(map, src.data, pitch, ch, g0, g1,
+                               xb + kSoaStrip,
+                               std::min(rect.x1, xb + 2 * kSoaStrip));
 
       // Pass 1: grid reconstruction — identical integer expressions to the
       // scalar compact kernel, so pass 2 reproduces it bit-for-bit.

@@ -57,22 +57,20 @@ namespace fisheye::simd {
 /// Byte for byte core::remap_rect_offset with Interp::Bilinear under any
 /// border mode in `opts` (its interp is not read): `src` is a window whose
 /// top-left sits at (src_off_x, src_off_y) in full-frame coordinates, and
-/// the preconditions are the per-pixel kernel's. `strip` pixels are staged
-/// per scratch refill; 0 selects kSoaStrip, larger values are clamped to it.
+/// the preconditions are the per-pixel kernel's.
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            core::MapView map, par::Rect rect,
                            int src_off_x, int src_off_y,
-                           const core::RemapOptions& opts, SoaScratch& scratch,
-                           int strip = kSoaStrip);
+                           const core::RemapOptions& opts,
+                           SoaScratch& scratch);
 
 /// Fixed-point PackedMap remap, AVX2 gather pass 2. Bit-exact against
 /// core::remap_packed_rect (same integer arithmetic).
 void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
                          img::ImageView<std::uint8_t> dst,
                          const core::PackedMap& map, par::Rect rect,
-                         std::uint8_t fill, SoaScratch& scratch,
-                         int strip = kSoaStrip);
+                         std::uint8_t fill, SoaScratch& scratch);
 
 /// CompactMap remap, AVX2 gather pass 2 plus grid-driven software prefetch
 /// of the next strip's source rows. Bit-exact against
@@ -80,7 +78,6 @@ void remap_packed_gather(img::ConstImageView<std::uint8_t> src,
 void remap_compact_gather(img::ConstImageView<std::uint8_t> src,
                           img::ImageView<std::uint8_t> dst,
                           const core::CompactMap& map, par::Rect rect,
-                          std::uint8_t fill, SoaScratch& scratch,
-                          int strip = kSoaStrip);
+                          std::uint8_t fill, SoaScratch& scratch);
 
 }  // namespace fisheye::simd

@@ -14,25 +14,18 @@ inline std::uint8_t round_clamp_u8(float v) noexcept {
   return static_cast<std::uint8_t>(r < 0 ? 0 : (r > 255 ? 255 : r));
 }
 
-/// Clamp a requested strip length into what the scratch arrays can hold.
-inline int clamp_strip(int strip) noexcept {
-  if (strip <= 0) return kSoaStrip;
-  return std::clamp(strip, 8, kSoaStrip);
-}
-
 }  // namespace
 
 void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
                         img::ImageView<std::uint8_t> dst,
                         core::MapView map, par::Rect rect,
-                        std::uint8_t fill, SoaScratch& scratch, int strip) {
+                        std::uint8_t fill, SoaScratch& scratch) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(rect.x0 >= 0 && rect.y0 >= 0 && rect.x1 <= dst.width &&
              rect.y1 <= dst.height);
 
   SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
   const auto src_w = static_cast<float>(src.width);
   const auto src_h = static_cast<float>(src.height);
@@ -42,8 +35,8 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
     const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* __restrict out_row = dst.row(y);
 
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
+    for (int xb = rect.x0; xb < rect.x1; xb += kSoaStrip) {
+      const int n = std::min(kSoaStrip, rect.x1 - xb);
       const float* __restrict mx = map.src_x + row + xb;
       const float* __restrict my = map.src_y + row + xb;
 
@@ -111,7 +104,7 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
 void remap_compact_soa(img::ConstImageView<std::uint8_t> src,
                        img::ImageView<std::uint8_t> dst,
                        const core::CompactMap& map, par::Rect rect,
-                       std::uint8_t fill, SoaScratch& scratch, int strip) {
+                       std::uint8_t fill, SoaScratch& scratch) {
   FE_EXPECTS(src.channels == dst.channels);
   FE_EXPECTS(map.width == dst.width && map.height == dst.height);
   FE_EXPECTS(src.width == map.src_width && src.height == map.src_height);
@@ -119,7 +112,6 @@ void remap_compact_soa(img::ConstImageView<std::uint8_t> src,
              rect.y1 <= dst.height);
 
   SoaScratch& s = scratch;
-  const int len = clamp_strip(strip);
   const int ch = src.channels;
   const std::size_t pitch = src.pitch;
 
@@ -148,8 +140,8 @@ void remap_compact_soa(img::ConstImageView<std::uint8_t> src,
     const std::size_t g1 = g0 + map.grid_w;
     std::uint8_t* __restrict out_row = dst.row(y);
 
-    for (int xb = rect.x0; xb < rect.x1; xb += len) {
-      const int n = std::min(len, rect.x1 - xb);
+    for (int xb = rect.x0; xb < rect.x1; xb += kSoaStrip) {
+      const int n = std::min(kSoaStrip, rect.x1 - xb);
 
       // Pass 1: reconstruct + tap/weight computation, SoA. Same integer
       // expressions as the scalar kernel, so outputs match bit-for-bit.

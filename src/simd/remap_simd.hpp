@@ -50,14 +50,12 @@ struct SoaScratch {
 /// Bilinear remap of `rect` with constant-fill border. Bit-exact against
 /// core::remap_rect with Interp::Bilinear + BorderMode::Constant is NOT
 /// guaranteed (float rounding order differs); agreement within +-1 level is
-/// (tested property). The scratch overload reuses caller storage; `strip`
-/// pixels are staged per scratch refill (0 selects kSoaStrip, larger
-/// values are clamped to it — the plan-time autotuner probes this axis).
+/// (tested property). `scratch` is caller storage, refilled once per
+/// kSoaStrip-pixel strip.
 void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
                         img::ImageView<std::uint8_t> dst,
                         core::MapView map, par::Rect rect,
-                        std::uint8_t fill, SoaScratch& scratch,
-                        int strip = kSoaStrip);
+                        std::uint8_t fill, SoaScratch& scratch);
 
 /// Compact-map strip kernel, same two-pass scratch structure:
 ///   pass 1 (vectorizable): reconstruct each pixel's fixed-point source
@@ -71,7 +69,6 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
 void remap_compact_soa(img::ConstImageView<std::uint8_t> src,
                        img::ImageView<std::uint8_t> dst,
                        const core::CompactMap& map, par::Rect rect,
-                       std::uint8_t fill, SoaScratch& scratch,
-                       int strip = kSoaStrip);
+                       std::uint8_t fill, SoaScratch& scratch);
 
 }  // namespace fisheye::simd

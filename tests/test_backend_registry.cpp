@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/accel_backend.hpp"
@@ -49,7 +50,8 @@ TEST(BackendRegistry, SpecStringsRoundTripThroughName) {
       "cpu:threads=2,schedule=steal,tiles,tile=32x16,datapath=gather",
       "cpu:threads=2,schedule=guided,cols=3,datapath=soa",
       "cpu:threads=3,chunks=6",
-      "cpu:threads=2,cyclic,map=packed,tuned=gather/128/-/-",
+      "cpu:threads=2,cyclic,map=packed,tuned=auto",
+      "pool:tiles,threads=2,tuned=auto",
       "serial",
       "pool:static,rows,threads=2",
       "pool:dynamic,rows=8,threads=2",
@@ -105,9 +107,6 @@ TEST(BackendRegistry, AliasesCanonicalizeToCpuSpecs) {
       {"simd:threads=4,datapath=gather",
        "cpu:threads=4,schedule=dynamic,datapath=gather", 16,
        KernelVariant::SimdGather},
-      {"simd:threads=1,tuned=gather/256/-/-",
-       "cpu:threads=1,datapath=soa,tuned=gather/256/-/-", 1,
-       KernelVariant::SimdGather},
       // openmp: the tiles its OpenMP loops planned (one row block per
       // thread; 4 x threads row blocks; 64x64 tiles for steal).
       {"openmp:threads=4", "cpu:threads=4,rows=4", 4, KernelVariant::Scalar},
@@ -137,6 +136,25 @@ TEST(BackendRegistry, AliasesCanonicalizeToCpuSpecs) {
     EXPECT_EQ(BackendRegistry::create(c.canonical)->plan(ctx).tiles(),
               plan.tiles())
         << c.spec;
+  }
+  // tuned=auto keeps the alias's canonical options until the first plan
+  // measures, then names its pick in a plain cpu: spec that plans the same
+  // tiles and kernel.
+  for (const auto& [spec, pending] :
+       {std::pair{"simd:threads=1,tuned=auto",
+                  "cpu:threads=1,datapath=soa,tuned=auto"},
+        std::pair{"pool:tiles,threads=2,tuned=auto",
+                  "cpu:threads=2,tiles,tile=64x64,tuned=auto"}}) {
+    const auto backend = BackendRegistry::create(spec);
+    EXPECT_EQ(backend->name(), pending) << spec;
+    const core::ExecutionPlan plan = backend->plan(ctx);
+    const std::string resolved = backend->name();
+    EXPECT_EQ(resolved.rfind("cpu:", 0), 0u) << resolved;
+    EXPECT_EQ(resolved.find("tuned="), std::string::npos) << resolved;
+    const core::ExecutionPlan replan =
+        BackendRegistry::create(resolved)->plan(ctx);
+    EXPECT_EQ(replan.tiles(), plan.tiles()) << spec;
+    EXPECT_EQ(replan.kernel().key(), plan.kernel().key()) << spec;
   }
 }
 

@@ -82,8 +82,8 @@ TEST(FuzzBackendSpec, CreateTokenSoupNeverCrashes) {
       "32x8x8x1", "3x8x8x1", "8x8x8x0", "float", "packed",
       "compact:4", "compact:3", "compact:zz", "steal", "dynamic",
       "rr",       "gige",  "ib",   "scalar", "soa",   "gather", "auto",
-      "gather/128/-/-", "-/-/128x64/-", "soa/64/32x32/compact:8",
-      "auto/9",   "a/b",   "gather/0/-/-", "////"};
+      "AUTO",     "auto/9", "gather/256/-/-", "datapath=gather",
+      "tile=64x64"};
   const std::vector<std::string> flags = {"dbuf", "sbuf", "scatter",
                                           "bcast", "tiles", "junkflag"};
   util::Rng rng(403);
@@ -126,9 +126,9 @@ TEST(FuzzBackendSpec, OutOfRangeValuesThrowInvalidArgument) {
       "shard:ring=17",      "shard:timeout_ms=0",  "shard:heartbeat_ms=0",
       "shard:heartbeat_ms=99999999", "shard:4,8",  "shard:workers=zzz",
       "simd:datapath=avx9", "simd:datapath=",      "pool:datapath=soa",
-      "simd:tuned=zzz",     "simd:tuned=auto/9",   "simd:tuned=gather/0/-/-",
-      "simd:tuned=a/b",     "pool:tuned=-/-/0x0/-",
-      "simd:tuned=-/-/-/martian",
+      "simd:tuned=zzz",     "simd:tuned=auto/9",   "simd:tuned=gather/256/-/-",
+      "cpu:tuned=AUTO",     "cpu:tuned=",          "pool:tuned=tile=64x64",
+      "serial:tuned=auto",  "openmp:tuned=auto",
   };
   for (const char* spec : bad)
     EXPECT_THROW((void)BackendRegistry::create(spec), InvalidArgument)
@@ -225,6 +225,7 @@ TEST(FuzzBackendSpec, InRangeSpecsRoundTrip) {
       "serial",
       "pool:dynamic,rows=4,threads=2",
       "simd:threads=2",
+      "simd:threads=1,tuned=auto",
       "cell:spes=4,sbuf,tile=64x16",
       "gpu:sms=16,block=16,tex=32x8x8x1",
       "fpga:clock=100,cache=32x8x8x1",

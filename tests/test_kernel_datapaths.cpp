@@ -1,17 +1,17 @@
 // The AVX2 gather datapath vs the scalar reference, and the plan-time
 // machinery around it: datapath=/tuned= spec options, effective-variant
 // degrade (FISHEYE_FORCE_SCALAR, non-AVX2 hosts), the autotuner's
-// resolve-once contract, and plan describability.
+// resolve-once contract and exactness, and plan describability.
 //
 // Numerical contracts (simd/remap_gather.hpp): all three gather kernels are
 // bit-exact against their scalar counterparts. The packed and compact ones
 // run the SAME integer arithmetic; the float one runs core::sample_bilinear's
 // own arithmetic, and the Scalar float bilinear entry resolves to it wherever
 // the gather datapath is available, so every scalar float plan depends on
-// it. The float SoA kernel's pixels must not depend on rect offset or strip
-// length (vector body and scalar remainder of pass 1 agree). All hold with
-// or without AVX2 (the strip structure, not the ISA, defines the
-// arithmetic), so this suite runs unconditionally.
+// it. The float SoA kernel's pixels must not depend on rect offset (vector
+// body and scalar remainder of pass 1 agree). All hold with or without AVX2
+// (the strip structure, not the ISA, defines the arithmetic), so this suite
+// runs unconditionally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,24 +249,6 @@ TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
 }
 
-TEST(GatherKernel, StripLengthDoesNotChangeResults) {
-  const int w = 200, h = 48;
-  const img::Image8 src = random_image(w, h, 1, 61);
-  const WarpMap map = random_interior_map(w, h, w, h, 62);
-  simd::SoaScratch scratch;
-  img::Image8 ref(w, h, 1);
-  const RemapOptions opts{Interp::Bilinear, img::BorderMode::Constant, 0};
-  simd::remap_bilinear_gather(src.view(), ref.view(), map, {0, 0, w, h}, 0, 0,
-                              opts, scratch);
-  for (const int strip : {8, 32, 100, 256, 100000}) {
-    img::Image8 out(w, h, 1);
-    simd::remap_bilinear_gather(src.view(), out.view(), map, {0, 0, w, h}, 0,
-                                0, opts, scratch, strip);
-    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
-        << "strip=" << strip;
-  }
-}
-
 // The float kernels' pass 1 is compiled to vector code, so its arithmetic
 // is pinned on the values that probe it: NaN, infinities, huge magnitudes,
 // signed zero, just-outside negatives, the w - 1 edge from both sides, and
@@ -362,12 +344,11 @@ img::Image8 window_of(const img::Image8& src, int x0, int y0) {
 /// Runs every path that must equal the per-pixel kernel on `rect`: the
 /// Scalar entry's resolved kernel under each border mode, called directly
 /// and through run_windowed over an offset window; a direct
-/// remap_bilinear_gather call at each of `strips`; and, where the gather
-/// datapath runs, the SimdGather entry (constant border only). Returns the
-/// pixel evaluations compared.
+/// remap_bilinear_gather call; and, where the gather datapath runs, the
+/// SimdGather entry (constant border only). Returns the pixel evaluations
+/// compared.
 long long expect_float_bilinear_exact(const img::Image8& src,
                                       const WarpMap& map, par::Rect rect,
-                                      std::initializer_list<int> strips,
                                       const std::string& what) {
   constexpr int kOffX = 3, kOffY = 2;
   const img::Image8 window = window_of(src, kOffX, kOffY);
@@ -399,12 +380,10 @@ long long expect_float_bilinear_exact(const img::Image8& src,
     got.fill(200);
     scalar(src.view(), got.view(), rect);
     expect_same(want, "scalar entry", border);
-    for (const int strip : strips) {
-      got.fill(200);
-      simd::remap_bilinear_gather(src.view(), got.view(), map, rect, 0, 0,
-                                  opts, scratch, strip);
-      expect_same(want, "direct call", border);
-    }
+    got.fill(200);
+    simd::remap_bilinear_gather(src.view(), got.view(), map, rect, 0, 0, opts,
+                                scratch);
+    expect_same(want, "direct call", border);
     if (border == img::BorderMode::Constant && simd::gather_available()) {
       const ResolvedKernel gather =
           resolve_kernel(ctx, KernelVariant::SimdGather);
@@ -440,7 +419,7 @@ TEST(GatherKernel, FloatMatchesItsContractByteForByteOnSaltedMaps) {
       const std::string what = "salted ch=" + std::to_string(ch) +
                                " w=" + std::to_string(w);
       for (const par::Rect& rect : rects)
-        expect_float_bilinear_exact(src, map, rect, {8, 13, 256}, what);
+        expect_float_bilinear_exact(src, map, rect, what);
     }
   }
 }
@@ -464,14 +443,14 @@ TEST(GatherKernel, FloatIsByteForByteThePerPixelKernel) {
     const WarpMap map = build_map(cam, view);
     const img::Image8 src = random_image(m.w, m.h, m.ch, 74);
     evaluated += expect_float_bilinear_exact(
-        src, map, {0, 0, m.w, m.h}, {0},
+        src, map, {0, 0, m.w, m.h},
         "real " + std::to_string(m.w) + "x" + std::to_string(m.h) +
             " ch=" + std::to_string(m.ch));
   }
   EXPECT_GE(evaluated, 10'000'000);
 }
 
-TEST(SoaKernel, FloatPixelIsIndependentOfRectOffsetAndStrip) {
+TEST(SoaKernel, FloatPixelIsIndependentOfRectOffset) {
   // Each pixel's value may depend only on its map entry, never on whether
   // the vector body or the scalar remainder of pass 1 computed it.
   for (const int ch : {1, 3}) {
@@ -485,20 +464,18 @@ TEST(SoaKernel, FloatPixelIsIndependentOfRectOffsetAndStrip) {
     util::Rng rng(83);
     for (int r = 0; r < 16; ++r) {
       const par::Rect rect = odd_rect(w, h, rng);
-      for (const int strip : {8, 13, 256}) {
-        img::Image8 want(w, h, ch), got(w, h, ch);
-        want.fill(200);
-        got.fill(200);
-        for (int y = rect.y0; y < rect.y1; ++y)
-          std::copy(ref.row(y) + static_cast<std::size_t>(rect.x0) * ch,
-                    ref.row(y) + static_cast<std::size_t>(rect.x1) * ch,
-                    want.row(y) + static_cast<std::size_t>(rect.x0) * ch);
-        simd::remap_bilinear_soa(src.view(), got.view(), map, rect, 7,
-                                 scratch, strip);
-        EXPECT_EQ(count_mismatches(want, got), 0)
-            << "ch=" << ch << " strip=" << strip << " rect=(" << rect.x0
-            << ',' << rect.y0 << ',' << rect.x1 << ',' << rect.y1 << ')';
-      }
+      img::Image8 want(w, h, ch), got(w, h, ch);
+      want.fill(200);
+      got.fill(200);
+      for (int y = rect.y0; y < rect.y1; ++y)
+        std::copy(ref.row(y) + static_cast<std::size_t>(rect.x0) * ch,
+                  ref.row(y) + static_cast<std::size_t>(rect.x1) * ch,
+                  want.row(y) + static_cast<std::size_t>(rect.x0) * ch);
+      simd::remap_bilinear_soa(src.view(), got.view(), map, rect, 7,
+                               scratch);
+      EXPECT_EQ(count_mismatches(want, got), 0)
+          << "ch=" << ch << " rect=(" << rect.x0 << ',' << rect.y0 << ','
+          << rect.x1 << ',' << rect.y1 << ')';
     }
   }
 }
@@ -691,53 +668,62 @@ TEST(Datapath, UnknownValuesAreRejectedNamingTheToken) {
     EXPECT_NE(std::string(e.what()).find("avx9"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(Datapath, TunedAcceptsOnlyAuto) {
+  // A tuned decision is spelled with the options it picks (datapath=,
+  // tile=), so tuned= has one value. Slash tokens (datapath/strip/tile/
+  // map), candidate labels and near-misses of "auto" are all rejected, and
+  // so is tuned= on the aliases that do not take it.
   for (const char* spec :
-       {"simd:tuned=bogus", "simd:tuned=auto/9", "pool:tuned=gather/x/-/-",
-        "simd:tuned=gather/128/64/-", "simd:tuned=-/-/-/martian"}) {
+       {"simd:tuned=gather/256/-/-", "cpu:threads=2,tuned=gather/128/-/-",
+        "pool:tiles,tuned=-/-/128x64/-", "cpu:tuned=soa/-/-/compact:8",
+        "cpu:tuned=datapath=gather", "pool:tiles,tuned=tile=64x64",
+        "cpu:tuned=AUTO", "cpu:tuned=", "simd:tuned=bogus",
+        "simd:tuned=auto/9", "serial:tuned=auto", "openmp:tuned=auto"}) {
     try {
       (void)BackendRegistry::create(spec);
       FAIL() << spec << " was accepted";
     } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("tuned="), std::string::npos)
+      EXPECT_NE(std::string(e.what()).find("tuned"), std::string::npos)
           << spec << ": " << e.what();
     }
   }
-}
-
-TEST(Datapath, ExplicitTunedTokenRoundTrips) {
-  const auto backend =
-      BackendRegistry::create("simd:threads=1,tuned=gather/128/-/-");
-  EXPECT_NE(backend->name().find("tuned=gather/128/-/-"), std::string::npos)
-      << backend->name();
-  const auto again = BackendRegistry::create(backend->name());
-  EXPECT_EQ(again->name(), backend->name());
 }
 
 TEST(Datapath, TunedAutoResolvesOncePlansAndRoundTrips) {
   AutotuneCache::instance().clear();
   Frame f;
   const auto backend = BackendRegistry::create("simd:threads=1,tuned=auto");
-  EXPECT_NE(backend->name().find("tuned=auto"), std::string::npos);
+  EXPECT_EQ(backend->name(), "cpu:threads=1,datapath=soa,tuned=auto");
   const ExecutionPlan plan = backend->plan(f.ctx());
-  // Resolved: the name now carries the measured winner, not "auto".
+  // Resolved: the name is a plain cpu: spec naming the measured datapath.
   const std::string resolved = backend->name();
-  EXPECT_EQ(resolved.find("tuned=auto"), std::string::npos) << resolved;
-  EXPECT_NE(resolved.find("tuned="), std::string::npos) << resolved;
-  EXPECT_EQ(AutotuneCache::instance().stats().stores, 1u);
+  EXPECT_EQ(resolved.find("tuned="), std::string::npos) << resolved;
+  EXPECT_EQ(resolved.rfind("cpu:threads=1,datapath=", 0), 0u) << resolved;
+  EXPECT_EQ(AutotuneCache::instance().stats().stores,
+            simd::gather_available() ? 1u : 0u);
   backend->execute(plan, f.ctx());
 
-  // The resolved token reconstructs the same backend without measuring.
+  // The resolved spec rebuilds the same plan without measuring.
+  const auto before = AutotuneCache::instance().stats();
   const auto again = BackendRegistry::create(resolved);
   EXPECT_EQ(again->name(), resolved);
-  (void)again->plan(f.ctx());
-  EXPECT_EQ(AutotuneCache::instance().stats().stores, 1u);
+  const ExecutionPlan replan = again->plan(f.ctx());
+  EXPECT_EQ(replan.tiles(), plan.tiles());
+  EXPECT_EQ(replan.kernel().key(), plan.kernel().key());
+  const auto after = AutotuneCache::instance().stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.stores, before.stores);
 
   // A second tuned=auto instance of the same shape hits the cache.
   const auto third = BackendRegistry::create("simd:threads=1,tuned=auto");
   (void)third->plan(f.ctx());
-  const auto stats = AutotuneCache::instance().stats();
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_GE(stats.hits, 1u);
+  EXPECT_EQ(AutotuneCache::instance().stats().stores, after.stores);
+  if (simd::gather_available()) {
+    EXPECT_EQ(AutotuneCache::instance().stats().hits, after.hits + 1);
+  }
   EXPECT_EQ(third->name(), resolved);
 }
 
@@ -746,11 +732,46 @@ TEST(Datapath, PoolTunedAutoResolves) {
   Frame f;
   const auto backend =
       BackendRegistry::create("pool:tiles,threads=2,tuned=auto");
-  (void)backend->plan(f.ctx());
+  const ExecutionPlan plan = backend->plan(f.ctx());
   const std::string resolved = backend->name();
-  EXPECT_EQ(resolved.find("tuned=auto"), std::string::npos) << resolved;
+  EXPECT_EQ(resolved.find("tuned="), std::string::npos) << resolved;
+  EXPECT_EQ(resolved.rfind("cpu:threads=2,tiles,tile=", 0), 0u) << resolved;
   const auto again = BackendRegistry::create(resolved);
   EXPECT_EQ(again->name(), resolved);
+  EXPECT_EQ(again->plan(f.ctx()).tiles(), plan.tiles());
+}
+
+TEST(Datapath, TunedAutoNeverPicksALessExactDatapath) {
+  // The candidates are the spec's own datapath and the exact gather, so a
+  // tuned spec that names none never resolves to SoA, and its bytes are
+  // the untuned spec's on a real map.
+  const int w = 640, h = 480;
+  const FisheyeCamera cam = FisheyeCamera::centered(
+      LensKind::Equidistant, deg_to_rad(180.0), w, h);
+  const PerspectiveView view(w, h, cam.lens().focal() * 0.5);
+  const WarpMap map = build_map(cam, view);
+  const img::Image8 src = random_image(w, h, 1, 95);
+  const auto run = [&](const std::unique_ptr<Backend>& backend,
+                       img::Image8& out) {
+    ExecContext ctx;
+    ctx.src = src.view();
+    ctx.dst = out.view();
+    ctx.map = map;
+    const ExecutionPlan plan = backend->plan(ctx);
+    backend->execute(plan, ctx);
+  };
+  AutotuneCache::instance().clear();
+  for (const char* untuned : {"cpu:threads=1", "cpu:threads=1,map=packed"}) {
+    img::Image8 want(w, h, 1), got(w, h, 1);
+    run(BackendRegistry::create(untuned), want);
+    const auto tuned =
+        BackendRegistry::create(std::string(untuned) + ",tuned=auto");
+    run(tuned, got);
+    const std::string resolved = tuned->name();
+    EXPECT_EQ(resolved.find("soa"), std::string::npos) << resolved;
+    EXPECT_EQ(resolved.find("tuned="), std::string::npos) << resolved;
+    EXPECT_EQ(count_mismatches(want, got), 0) << untuned << " -> " << resolved;
+  }
 }
 
 TEST(Datapath, DescribeNamesKernelAndIsa) {
