@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
           .add(packed.median / run.median, 2);
     }
 
-    // SIMD pair: the SoA kernel with its native float LUT vs compact:8.
+    // SIMD pair: the SoA datapath on its native float LUT vs compact:8,
+    // which that datapath runs on the scalar compact kernel.
     const rt::RunStats simd_float =
         bench::measure_spec(corr, src.view(), "simd", reps);
     cpu.row()

@@ -60,7 +60,9 @@ enum class KernelVariant : std::uint8_t {
   Scalar,      ///< per-pixel reference kernels (core/remap.cpp); the
                ///< float bilinear one resolves to its byte-exact AVX2
                ///< gather form wherever simd::gather_available() holds
-  SimdSoa,     ///< two-pass SoA strip kernels (simd/remap_simd.cpp)
+  SimdSoa,     ///< two-pass SoA float-LUT strip kernel
+               ///< (simd/remap_simd.cpp); a compact map on this datapath
+               ///< runs the scalar compact kernel
   SimdGather,  ///< AVX2 hardware-gather pass 2 (simd/remap_gather.cpp)
 };
 

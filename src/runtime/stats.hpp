@@ -109,7 +109,6 @@ struct ShardStats {
   std::size_t fallback_strips = 0;  ///< strips computed by the supervisor
   std::size_t respawns = 0;   ///< crashed workers re-forked (waitpid path)
   std::size_t stalls = 0;     ///< live→stalled transitions (heartbeat timeout)
-  std::size_t heartbeats = 0; ///< heartbeat observations across all workers
   double wait_seconds = 0.0;  ///< supervisor time spent waiting on workers
 };
 

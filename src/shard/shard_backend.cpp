@@ -19,30 +19,12 @@
 #error "the shard backend requires a POSIX host"
 #endif
 
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0  // macOS: sends may raise SIGPIPE; workers are short
-#endif
 
 namespace fisheye::shard {
 
 namespace {
-
-/// Control-socket message; fixed-size datagrams both ways.
-enum class MsgType : std::uint32_t { Assign = 1, Ready = 2, Heartbeat = 3 };
-
-struct ControlMsg {
-  MsgType type = MsgType::Assign;
-  std::uint32_t shard = 0;
-  std::uint32_t epoch = 0;
-  std::int32_t y0 = 0;
-  std::int32_t y1 = 0;
-  std::uint32_t heartbeat_ms = 0;
-  std::uint32_t beats = 0;
-};
 
 void copy_rows(img::View8 dst, img::CView8 src, const par::Rect& r) {
   const std::size_t off = static_cast<std::size_t>(r.x0) * src.channels;
@@ -97,7 +79,6 @@ class WorkerFleet {
           waitpid(static_cast<pid_t>(pid), &status, 0);
         }
       }
-      if (p.sock >= 0) close(p.sock);
     }
   }
 
@@ -201,7 +182,6 @@ class WorkerFleet {
     s.fallback_strips = fallbacks_.load(std::memory_order_relaxed);
     s.respawns = respawns_.load(std::memory_order_relaxed);
     s.stalls = stalls_.load(std::memory_order_relaxed);
-    s.heartbeats = beats_.load(std::memory_order_relaxed);
     s.wait_seconds = wait_ns_.load(std::memory_order_relaxed) * 1e-9;
     return s;
   }
@@ -227,7 +207,6 @@ class WorkerFleet {
  private:
   struct WorkerProc {
     std::atomic<long> pid{-1};
-    int sock = -1;  ///< supervisor end; monitor-thread-only after spawn
     std::atomic<bool> live{false};
     std::atomic<std::uint32_t> epoch{0};
     std::uint32_t seen_beat = 0;  ///< monitor-local heartbeat bookkeeping
@@ -236,69 +215,30 @@ class WorkerFleet {
   };
 
   void spawn(int shard, std::uint32_t epoch) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_DGRAM, 0, sv) != 0)
-      throw Error(std::string("shard: socketpair failed: ") +
-                  std::strerror(errno));
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      throw Error(std::string("shard: fork failed: ") +
-                  std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Child: drop every supervisor-side descriptor, then serve.
-      close(sv[0]);
-      for (const WorkerProc& p : procs_)
-        if (p.sock >= 0) close(p.sock);
-      worker_main(sv[1]);  // never returns
-    }
-    close(sv[1]);
     WorkerProc& p = procs_[static_cast<std::size_t>(shard)];
-    if (p.sock >= 0) close(p.sock);
-    p.sock = sv[0];
-    p.pid.store(pid, std::memory_order_relaxed);
-    p.epoch.store(epoch, std::memory_order_relaxed);
     p.seen_beat = ring_->slab(shard).heartbeat.load(std::memory_order_relaxed);
     p.beat_time = clock_.elapsed_seconds();
     p.was_stalled = false;
-    ControlMsg assign;
-    assign.type = MsgType::Assign;
-    assign.shard = static_cast<std::uint32_t>(shard);
-    assign.epoch = epoch;
-    assign.y0 = strips_[static_cast<std::size_t>(shard)].y0;
-    assign.y1 = strips_[static_cast<std::size_t>(shard)].y1;
-    assign.heartbeat_ms = static_cast<std::uint32_t>(opts_.heartbeat_ms);
-    send(p.sock, &assign, sizeof assign, MSG_NOSIGNAL);
+    const pid_t pid = fork();
+    if (pid < 0)
+      throw Error(std::string("shard: fork failed: ") + std::strerror(errno));
+    if (pid == 0) worker_main(shard);  // never returns
+    p.pid.store(pid, std::memory_order_relaxed);
+    p.epoch.store(epoch, std::memory_order_relaxed);
     // Optimistic: the frame deadline covers a spawn that never comes up.
     p.live.store(true, std::memory_order_relaxed);
   }
 
-  /// Worker process entry. Inherits the ring mapping and the resolved
-  /// kernel (fork's copy-on-write keeps its bound map/camera pointers
-  /// valid), so no plan re-resolution happens in the child; the strip
-  /// assignment arrives over the control socket.
-  [[noreturn]] void worker_main(int sock) {
-    ControlMsg assign;
-    for (;;) {
-      const ssize_t n = recv(sock, &assign, sizeof assign, 0);
-      if (n == static_cast<ssize_t>(sizeof assign) &&
-          assign.type == MsgType::Assign)
-        break;
-      if (n < 0 && errno == EINTR) continue;
-      _exit(1);
-    }
-    const par::Rect strip = strips_[assign.shard];
-    const int hb_ms = static_cast<int>(assign.heartbeat_ms);
+  /// Worker process entry. Inherits the ring mapping, its strip, the
+  /// heartbeat period and the resolved kernel (fork's copy-on-write keeps
+  /// its bound map/camera pointers valid), so the child needs no message
+  /// and no plan re-resolution. It reports through its slab alone; the
+  /// heartbeat word is bumped once on start and after every futex return.
+  [[noreturn]] void worker_main(int shard) {
+    const par::Rect strip = strips_[static_cast<std::size_t>(shard)];
     RingHeader& hdr = ring_->header();
-    WorkerSlab& me = ring_->slab(static_cast<int>(assign.shard));
-    ControlMsg beat;
-    beat.type = MsgType::Ready;
-    beat.shard = assign.shard;
-    beat.epoch = assign.epoch;
-    send(sock, &beat, sizeof beat, MSG_DONTWAIT | MSG_NOSIGNAL);
-    beat.type = MsgType::Heartbeat;
+    WorkerSlab& me = ring_->slab(shard);
+    me.heartbeat.fetch_add(1, std::memory_order_release);
 
     std::uint64_t seen = me.done_seq.load(std::memory_order_relaxed);
     for (;;) {
@@ -311,10 +251,12 @@ class WorkerFleet {
         if (hdr.frame_seq.load(std::memory_order_acquire) != seen ||
             hdr.shutdown.load(std::memory_order_acquire) != 0)
           continue;
-        futex_wait(hdr.doorbell, bell, hb_ms);
+        // Reparented: the supervisor died without setting shutdown. Checked
+        // before each wait, not after it, so a doorbell runs the strip with
+        // no system call in between.
+        if (getppid() != supervisor_) _exit(0);
+        futex_wait(hdr.doorbell, bell, opts_.heartbeat_ms);
         me.heartbeat.fetch_add(1, std::memory_order_release);
-        beat.beats = me.heartbeat.load(std::memory_order_relaxed);
-        send(sock, &beat, sizeof beat, MSG_DONTWAIT | MSG_NOSIGNAL);
         continue;
       }
       const int slot = static_cast<int>(seq % ring_->slots());
@@ -326,10 +268,8 @@ class WorkerFleet {
       }
       const rt::Stopwatch sw;
       kernel_(ring_->slot_src(slot), ring_->slot_dst(slot), strip);
-      const auto ns =
-          static_cast<std::uint64_t>(sw.elapsed_seconds() * 1e9);
-      me.last_ns.store(ns, std::memory_order_relaxed);
-      me.compute_ns.fetch_add(ns, std::memory_order_relaxed);
+      me.last_ns.store(static_cast<std::uint64_t>(sw.elapsed_seconds() * 1e9),
+                       std::memory_order_relaxed);
       me.frames.fetch_add(1, std::memory_order_relaxed);
       me.heartbeat.fetch_add(1, std::memory_order_release);
       seen = seq;
@@ -356,33 +296,23 @@ class WorkerFleet {
         WorkerProc& p = procs_[s];
         const long pid = p.pid.load(std::memory_order_relaxed);
         if (pid <= 0) continue;
-        // Drain the control socket (bounded, fixed buffer, no alloc).
-        ControlMsg msg;
-        for (int i = 0; i < 64; ++i) {
-          const ssize_t n =
-              recv(p.sock, &msg, sizeof msg, MSG_DONTWAIT);
-          if (n != static_cast<ssize_t>(sizeof msg)) break;
-          if (msg.type == MsgType::Ready ||
-              msg.type == MsgType::Heartbeat) {
-            beats_.fetch_add(1, std::memory_order_relaxed);
-            note_beat(p, now);
-          }
-        }
-        // The shm heartbeat word works even when the socket backs up.
+        // Liveness: the slab heartbeat moved since the last tick.
         const std::uint32_t beat = ring_->slab(static_cast<int>(s))
                                        .heartbeat.load(
                                            std::memory_order_relaxed);
         if (beat != p.seen_beat) {
           p.seen_beat = beat;
-          note_beat(p, now);
+          p.beat_time = now;
+          if (p.was_stalled) {
+            p.was_stalled = false;  // it woke up; hand the strip back
+            p.live.store(true, std::memory_order_relaxed);
+          }
         }
         // Crash detection + respawn.
         int status = 0;
         if (waitpid(static_cast<pid_t>(pid), &status, WNOHANG) == pid) {
           p.live.store(false, std::memory_order_relaxed);
           p.pid.store(-1, std::memory_order_relaxed);
-          close(p.sock);
-          p.sock = -1;
           if (!stopping_.load(std::memory_order_relaxed)) {
             respawns_.fetch_add(1, std::memory_order_relaxed);
             spawn(static_cast<int>(s),
@@ -406,20 +336,15 @@ class WorkerFleet {
     }
   }
 
-  void note_beat(WorkerProc& p, double now) {
-    p.beat_time = now;
-    if (p.was_stalled) {
-      p.was_stalled = false;  // it woke up; hand the strip back
-      p.live.store(true, std::memory_order_relaxed);
-    }
-  }
-
   ShardOptions opts_;
   std::vector<par::Rect> strips_;
   core::ResolvedKernel kernel_;
   std::unique_ptr<FrameRing> ring_;
   std::vector<WorkerProc> procs_;
   rt::Stopwatch clock_;
+  /// Recorded before any fork; a worker whose parent is no longer this
+  /// process has been orphaned.
+  const pid_t supervisor_ = getpid();
   std::uint64_t next_seq_ = 0;
 
   std::atomic<std::size_t> frames_{0};
@@ -428,7 +353,6 @@ class WorkerFleet {
   std::atomic<std::size_t> fallbacks_{0};
   std::atomic<std::size_t> respawns_{0};
   std::atomic<std::size_t> stalls_{0};
-  std::atomic<std::size_t> beats_{0};
   std::atomic<std::uint64_t> wait_ns_{0};
 
   std::thread monitor_;

@@ -8,16 +8,20 @@
 // shared-memory FrameRing (shard_ring.hpp); each worker is a fork of the
 // planned process executing the same resolved scalar kernel over its row
 // strip of every frame. Frames flow through the ring (source in, strips
-// out, generation counters + futex doorbells); control flows over a
-// per-worker UNIX datagram socketpair (strip assignment, heartbeats).
+// out, generation counters + futex doorbells). The ring is also the only
+// control channel: a worker inherits its strip and heartbeat period
+// through fork, and reports liveness by bumping the heartbeat word of its
+// WorkerSlab on start and after every doorbell wait.
 //
 // Supervision: a monitor thread reaps crashed workers (waitpid), respawns
 // them with a bumped epoch, marks silent ones stalled after a heartbeat
-// timeout, and SIGKILLs workers that stay wedged. A frame never waits on
-// a dead or stalled worker past the frame deadline — the supervisor
-// computes the missing strips itself with the same kernel, so output is
-// bit-exact (the scalar kernel is deterministic) and every frame
-// completes; `kill -9` costs at most one frame's latency, not the stream.
+// timeout, and SIGKILLs workers that stay wedged. A worker whose
+// supervisor dies exits on its next wait tick (its parent pid changed). A
+// frame never waits on a dead or stalled worker past the frame deadline —
+// the supervisor computes the missing strips itself with the same kernel,
+// so output is bit-exact (the scalar kernel is deterministic) and every
+// frame completes; `kill -9` costs at most one frame's latency, not the
+// stream.
 //
 // Spec: shard:<N> | shard:workers=N[,ring=R][,timeout_ms=T]
 //       [,heartbeat_ms=H][,map=...]   (see shard_registry.cpp)

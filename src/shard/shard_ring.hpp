@@ -7,10 +7,11 @@
 //
 //   [RingHeader]                 doorbell/completions futex words, the
 //                                frame generation counter, shutdown flag
-//   [WorkerSlab x workers]       per-worker progress: done_seq (the seqlock
-//                                gate the supervisor reads), heartbeat,
-//                                compute timing — one cache line each so a
-//                                worker's stores never false-share
+//   [WorkerSlab x workers]       per-worker progress and liveness: done_seq
+//                                (the seqlock gate the supervisor reads),
+//                                heartbeat, strip timing — one cache line
+//                                each so a worker's stores never
+//                                false-share
 //   [slot 0..R-1]                each: [SlotHeader | src frame | dst frame]
 //                                with 64-byte-aligned row pitch (same
 //                                layout as img::Image, so kernels run on
@@ -59,15 +60,16 @@ struct alignas(64) RingHeader {
 };
 
 /// One worker's progress block (written by the worker, read by the
-/// supervisor). done_seq is the strip-completion gate; heartbeat advances
-/// on every wait tick and every computed strip, so a stopped process goes
-/// visibly silent even when the control socket backs up.
+/// supervisor) and the fleet's only control channel: a worker inherits
+/// its strip and heartbeat period through fork and reports only here.
+/// done_seq is the strip-completion gate; heartbeat advances once on
+/// start, on every wait tick and on every computed strip, so a stopped
+/// process goes visibly silent.
 struct alignas(64) WorkerSlab {
   std::atomic<std::uint64_t> done_seq{0};
   std::atomic<std::uint32_t> heartbeat{0};
-  std::atomic<std::uint64_t> frames{0};      ///< strips computed (lifetime)
-  std::atomic<std::uint64_t> compute_ns{0};  ///< cumulative strip time
-  std::atomic<std::uint64_t> last_ns{0};     ///< last strip's compute time
+  std::atomic<std::uint64_t> frames{0};   ///< strips computed (lifetime)
+  std::atomic<std::uint64_t> last_ns{0};  ///< last strip's compute time
 };
 
 /// Per-slot generation counter (see the header comment's protocol).

@@ -9,7 +9,7 @@
 //
 // Contract vs the scalar kernels: bit-exact, all three.
 //  * packed / compact: identical integer expressions and an 8.8 fixed-point
-//    weight blend (the same property the SoA compact kernel has);
+//    weight blend;
 //  * float LUT: core::sample_bilinear's own arithmetic — floor, float
 //    weights, interior test, and the blend w00*p00 + w10*p10 + w01*p01 +
 //    w11*p11 written with vector operators, so the compiler contracts it

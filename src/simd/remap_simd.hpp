@@ -15,6 +15,10 @@
 // still run it scalar, having no vector floor. Pass 2 is the irreducible
 // gather cost. The F-series "simd" backend is this kernel run on the
 // thread pool.
+//
+// The kernel reads float LUTs only. The SoA datapath on a compact map runs
+// the scalar compact kernel (core::remap_compact_rect): a two-pass form of
+// it matched its bytes but never its speed.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +33,11 @@ namespace fisheye::simd {
 /// two-pass split, short enough that the scratch arrays stay inside L1.
 inline constexpr int kSoaStrip = 256;
 
-/// SoA strip scratch shared by both kernels: one slot per strip pixel.
-/// The float kernel fills x0/y0 + the float weights; the compact kernel
-/// fills the clamped tap coordinates + the 0..256 integer weights. Sized
-/// ~11 KB; the tile kernels keep one on their own stack per call.
+/// SoA strip scratch shared by the strip kernels: one slot per strip pixel.
+/// The float kernels (this one and the float gather) fill x0/y0 + the float
+/// weights; the packed and compact gather kernels (remap_gather.hpp) fill
+/// the clamped tap coordinates + the 0..256 integer weights. Sized ~11 KB;
+/// the tile kernels keep one on their own stack per call.
 struct SoaScratch {
   alignas(64) std::int32_t x0[kSoaStrip];
   alignas(64) std::int32_t y0[kSoaStrip];
@@ -56,19 +61,5 @@ void remap_bilinear_soa(img::ConstImageView<std::uint8_t> src,
                         img::ImageView<std::uint8_t> dst,
                         core::MapView map, par::Rect rect,
                         std::uint8_t fill, SoaScratch& scratch);
-
-/// Compact-map strip kernel, same two-pass scratch structure:
-///   pass 1 (vectorizable): reconstruct each pixel's fixed-point source
-///           coordinate from the stride grid, derive tap coordinates,
-///           validity and the 0..256 integer weights into SoA scratch;
-///   pass 2 (gather-bound): fetch taps and blend on the 8-bit integer
-///           datapath.
-/// Unlike the float kernel this one is bit-exact against its scalar
-/// counterpart (core::remap_compact_rect): both run identical integer
-/// arithmetic (tested property).
-void remap_compact_soa(img::ConstImageView<std::uint8_t> src,
-                       img::ImageView<std::uint8_t> dst,
-                       const core::CompactMap& map, par::Rect rect,
-                       std::uint8_t fill, SoaScratch& scratch);
 
 }  // namespace fisheye::simd

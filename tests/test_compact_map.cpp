@@ -1,6 +1,6 @@
 // CompactMap contract tests: build validation, reconstruction-error bounds
-// and bookkeeping, stride-1 bit-exactness against the packed kernel, SoA /
-// cell / FPGA kernel agreement with the scalar reference, and the
+// and bookkeeping, stride-1 bit-exactness against the packed kernel, cell
+// / FPGA kernel agreement with the scalar reference, and the
 // source_bbox superset property the accelerator DMA path relies on.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "core/mapping.hpp"
 #include "core/remap.hpp"
 #include "image/metrics.hpp"
-#include "simd/remap_simd.hpp"
 #include "util/mathx.hpp"
 #include "video/pipeline.hpp"
 
@@ -125,28 +124,6 @@ TEST(CompactMap, StrideOneRemapMatchesPackedBitExact) {
   remap_packed_rect(src.view(), a.view(), packed, {0, 0, w, h}, 0);
   remap_compact_rect(src.view(), b.view(), cm, {0, 0, w, h}, 0);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
-}
-
-TEST(CompactMap, SoaKernelMatchesScalarBitExact) {
-  const int w = 112, h = 80;
-  const WarpMap map = test_map(w, h);
-  const img::Image8 src = test_input(w, h);
-  for (const int stride : {1, 4, 8, 16}) {
-    const CompactMap cm = compact_map(map, w, h, stride);
-    img::Image8 a(w, h, 1), b(w, h, 1);
-    a.fill(7);
-    b.fill(7);
-    // Full frame plus an offset interior rect: both paths must agree on
-    // rect handling, not just on (0,0)-anchored strips.
-    simd::SoaScratch scratch;
-    for (const par::Rect rect :
-         {par::Rect{0, 0, w, h}, par::Rect{13, 9, w - 5, h - 3}}) {
-      remap_compact_rect(src.view(), a.view(), cm, rect, 0);
-      simd::remap_compact_soa(src.view(), b.view(), cm, rect, 0, scratch);
-    }
-    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()))
-        << "stride=" << stride;
-  }
 }
 
 TEST(CompactMap, CellPlatformMatchesScalarKernel) {

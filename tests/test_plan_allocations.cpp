@@ -52,6 +52,12 @@ void* counted_alloc(std::size_t size, std::align_val_t align) noexcept {
   return p;
 }
 
+/// Every replacement delete frees here. Kept out of line: once GCC inlines
+/// a delete into code whose pointer came from a `new` expression, a bare
+/// std::free there trips -Wmismatched-new-delete, although this file's
+/// operator new does take the block from malloc.
+[[gnu::noinline]] void free_block(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -92,28 +98,28 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return counted_alloc(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete[](void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_block(p); }
+void operator delete(void* p, std::align_val_t) noexcept { free_block(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { free_block(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  free_block(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  free_block(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { free_block(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  free_block(p);
 }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  std::free(p);
+  free_block(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  free_block(p);
 }
 
 namespace fisheye::core {

@@ -5,13 +5,22 @@
 // never a wrong pixel — and is respawned; a stopped (silent) worker is
 // detected as stalled and its strips lease back to the supervisor; the
 // ring's generation counters survive slot reuse (wraparound) with
-// distinct per-frame content.
+// distinct per-frame content; workers whose supervisor dies exit.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <memory>
 #include <thread>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "core/backend_registry.hpp"
 #include "core/corrector.hpp"
@@ -194,6 +203,93 @@ TEST(Shard, StalledWorkerLeasesStripToSupervisor) {
   out.fill(0);
   h.corr.correct(prepared, src.view(), out.view());
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
+}
+
+TEST(Shard, WorkersExitWhenTheSupervisorDies) {
+#ifndef __linux__
+  GTEST_SKIP() << "adopting orphaned workers needs PR_SET_CHILD_SUBREAPER";
+#else
+  constexpr int kWorkers = 2;
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  // As a child subreaper this process adopts the workers once their
+  // supervisor is gone, so waitpid sees whether they exit.
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  const pid_t supervisor = fork();
+  if (supervisor < 0) prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ASSERT_GE(supervisor, 0);
+  if (supervisor == 0) {
+    // The supervisor leads its own process group, so the cleanup below
+    // can reach every worker even if their pids never arrive.
+    setpgid(0, 0);
+    close(fds[0]);
+    try {
+      Harness h;
+      ShardOptions o;
+      o.workers = kWorkers;
+      o.heartbeat_ms = 20;
+      ShardBackend backend(o);
+      const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
+      const img::Image8 src = fisheye_frame(0);
+      img::Image8 out(kW, kH, 1);
+      h.corr.correct(prepared, src.view(), out.view());
+      long pids[kWorkers];
+      const std::vector<ShardWorkerInfo> info = backend.workers_info();
+      for (int i = 0; i < kWorkers; ++i) pids[i] = info[i].pid;
+      if (write(fds[1], pids, sizeof pids) != static_cast<ssize_t>(sizeof pids))
+        _exit(1);
+      // Die without tearing the fleet down: no shutdown flag is set.
+      raise(SIGKILL);
+    } catch (...) {
+    }
+    _exit(1);
+  }
+  setpgid(supervisor, supervisor);
+  close(fds[1]);
+
+  // Read exactly the pids, not to EOF: the workers inherit the pipe.
+  long pids[kWorkers] = {};
+  std::size_t got = 0;
+  while (got < sizeof pids) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    if (poll(&pfd, 1, 10000) <= 0) break;
+    const ssize_t n =
+        read(fds[0], reinterpret_cast<char*>(pids) + got, sizeof pids - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  close(fds[0]);
+  if (got != sizeof pids) kill(supervisor, SIGKILL);
+  int status = 0;
+  while (waitpid(supervisor, &status, 0) < 0 && errno == EINTR) {
+  }
+
+  // The workers are this process's children now; each must exit by itself.
+  bool reaped[kWorkers] = {};
+  const rt::Stopwatch sw;
+  for (;;) {
+    bool all = true;
+    for (int i = 0; i < kWorkers; ++i) {
+      if (!reaped[i] && pids[i] > 0 &&
+          waitpid(static_cast<pid_t>(pids[i]), &status, WNOHANG) == pids[i])
+        reaped[i] = true;
+      all = all && reaped[i];
+    }
+    if (all || sw.elapsed_seconds() >= 2.0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // Leave nothing behind: kill and reap what survived, then stop adopting.
+  kill(-supervisor, SIGKILL);
+  while (waitpid(-supervisor, &status, 0) > 0 || errno == EINTR) {
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
+
+  ASSERT_EQ(got, sizeof pids) << "the supervisor never reported its workers";
+  for (int i = 0; i < kWorkers; ++i)
+    EXPECT_TRUE(reaped[i]) << "worker " << pids[i]
+                           << " outlived its supervisor by 2 s";
+#endif
 }
 
 TEST(Shard, ZeroCopyIngestSkipsSourceTransport) {
