@@ -1,14 +1,18 @@
 #include "core/backend.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "core/autotune.hpp"
 #include "core/kernel.hpp"
 #include "core/tile_order.hpp"
+#include "image/image.hpp"
 #include "parallel/work_stealing.hpp"
 #include "runtime/timer.hpp"
 #include "simd/remap_gather.hpp"
@@ -255,13 +259,12 @@ ExecutionPlan CpuBackend::plan_with(const ExecContext& ctx,
 
 void CpuBackend::maybe_autotune(const ExecContext& ctx) {
   if (!tune_pending_) return;
-  // Each candidate is these options with one knob rewritten, labelled by
-  // the option text it writes; a value already listed is not timed twice.
-  std::vector<AutotuneCandidate> cands;
-  const auto add = [&cands](std::string label, const CpuOptions& o) {
-    for (const AutotuneCandidate& c : cands)
-      if (c.label == label) return;
-    cands.push_back({std::move(label), o});
+  // Each candidate is these options with one knob rewritten; a value
+  // already listed is not timed twice.
+  std::vector<CpuOptions> cands;
+  const auto add = [&cands](const CpuOptions& o) {
+    if (std::find(cands.begin(), cands.end(), o) == cands.end())
+      cands.push_back(o);
   };
   if (!options_.partition) {
     // Whole frame or default row blocks: the spec's own datapath against
@@ -270,7 +273,7 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
     const auto add_datapath = [&](KernelVariant v) {
       CpuOptions o = options_;
       o.datapath = v;
-      add(std::string("datapath=") + DatapathChoice::token(v), o);
+      add(o);
     };
     add_datapath(options_.datapath);
     if (simd::gather_available()) add_datapath(KernelVariant::SimdGather);
@@ -282,21 +285,14 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
       CpuOptions o = options_;
       o.tile_w = w;
       o.tile_h = h;
-      add("tile=" + std::to_string(w) + 'x' + std::to_string(h), o);
+      add(o);
     };
     add_tile(options_.tile_w, options_.tile_h);
     constexpr int kTiles[][2] = {{32, 32}, {64, 64}, {128, 64}, {128, 32}};
     for (const auto& wh : kTiles) add_tile(wh[0], wh[1]);
   }
   if (cands.size() > 1) {
-    const std::optional<CpuOptions> best = autotune_select(
-        ctx, autotune_cache_key(ctx, cached_name()), cands,
-        [this](const ExecContext& c, const CpuOptions& o) {
-          return plan_with(c, o);
-        },
-        [this](const ExecutionPlan& p, const ExecContext& c) {
-          execute(p, c);
-        });
+    const std::optional<CpuOptions> best = fastest(ctx, cands);
     // No candidate planned: stay pending, and let the untuned plan
     // surface the real error.
     if (!best) return;
@@ -304,6 +300,77 @@ void CpuBackend::maybe_autotune(const ExecContext& ctx) {
   }
   tune_pending_ = false;
   forget_name();
+}
+
+std::optional<CpuOptions> CpuBackend::fastest(
+    const ExecContext& ctx, const std::vector<CpuOptions>& candidates) {
+  constexpr int kFrames = 3;  // timed runs per probe, after one warm-up
+  // Synthesized measurement frames: the caller's views may be null at plan
+  // time, and probing must never write a caller's real output frame. A
+  // diagonal gradient keeps the gathers on realistic (non-constant)
+  // addresses without costing a map evaluation.
+  img::Image8 src(ctx.src.width, ctx.src.height, ctx.src.channels);
+  img::Image8 dst(ctx.dst.width, ctx.dst.height, ctx.src.channels);
+  for (int y = 0; y < src.height(); ++y) {
+    std::uint8_t* row = src.row(y);
+    const std::size_t n =
+        static_cast<std::size_t>(src.width()) * src.channels();
+    for (std::size_t i = 0; i < n; ++i)
+      row[i] = static_cast<std::uint8_t>((i + static_cast<std::size_t>(y)) &
+                                         0xFF);
+  }
+  ExecContext mctx = ctx;
+  mctx.src = src.cview();
+  mctx.dst = dst.view();
+
+  struct Scored {
+    const CpuOptions* options = nullptr;
+    ExecutionPlan plan;
+    double seconds = std::numeric_limits<double>::infinity();
+  };
+  const auto probe = [&](Scored& s) {
+    for (int i = 0; i < kFrames; ++i) {
+      const rt::Stopwatch sw;
+      execute(s.plan, mctx);
+      s.seconds = std::min(s.seconds, sw.elapsed_seconds());
+    }
+  };
+  std::vector<Scored> scored;
+  scored.reserve(candidates.size());
+  for (const CpuOptions& o : candidates) {
+    Scored s;
+    s.options = &o;
+    try {
+      s.plan = plan_with(mctx, o);
+      execute(s.plan, mctx);
+      probe(s);
+    } catch (const std::exception&) {
+      continue;  // infeasible candidate (unsupported kernel point, ...)
+    }
+    scored.push_back(std::move(s));
+  }
+  if (scored.empty()) return std::nullopt;
+  // Runoff between the top two: a single preemption spike during a
+  // candidate's probe window is enough to crown the wrong winner, and a
+  // wrong lock-in is paid on every subsequent frame. Re-probing only the
+  // finalists keeps total probe cost ~O(candidates), not 2x.
+  const auto faster = [](const Scored& a, const Scored& b) {
+    return a.seconds < b.seconds;
+  };
+  std::sort(scored.begin(), scored.end(), faster);
+  const std::size_t finalists = std::min<std::size_t>(2, scored.size());
+  for (std::size_t i = 0; i < finalists; ++i) {
+    try {
+      probe(scored[i]);
+    } catch (const std::exception&) {
+      scored[i].seconds = std::numeric_limits<double>::infinity();
+    }
+  }
+  const auto winner = std::min_element(
+      scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(finalists),
+      faster);
+  if (!std::isfinite(winner->seconds)) return std::nullopt;
+  return *winner->options;
 }
 
 void CpuBackend::execute(const ExecutionPlan& plan, const ExecContext& ctx) {

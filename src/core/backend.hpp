@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/camera.hpp"
 #include "core/execution_plan.hpp"
@@ -172,6 +173,8 @@ struct CpuOptions {
   /// Kernel datapath (the datapath= option). Subject to
   /// effective_variant() degrade at plan time.
   KernelVariant datapath = KernelVariant::Scalar;
+
+  bool operator==(const CpuOptions&) const = default;
 };
 
 /// The study's multicore execution as one loop: the frame is partitioned
@@ -196,9 +199,9 @@ class CpuBackend final : public Backend {
   explicit CpuBackend(par::ThreadPool& pool, CpuOptions options = {});
 
   /// The tuned=auto option: the first plan() measures candidate datapaths
-  /// or tile shapes (core/autotune.hpp) and writes the winner into this
-  /// backend's options. name() carries tuned=auto until then and a plain
-  /// cpu: spec after, which create() rebuilds without measuring.
+  /// or tile shapes and writes the winner into this backend's options.
+  /// name() carries tuned=auto until then and a plain cpu: spec after,
+  /// which create() rebuilds without measuring.
   void autotune_on_first_plan() noexcept;
 
   using Backend::execute;
@@ -211,12 +214,16 @@ class CpuBackend final : public Backend {
     return pool_ != nullptr ? pool_->size() : 1;
   }
   /// The plan for `ctx` under options `o`: plan() passes the backend's
-  /// own, the autotuner each candidate's.
+  /// own, fastest() each candidate's.
   [[nodiscard]] ExecutionPlan plan_with(const ExecContext& ctx,
                                         const CpuOptions& o);
-  /// Resolve a pending tuned=auto by measuring the candidate set on
-  /// synthesized frames of ctx's geometry.
+  /// Resolve a pending tuned=auto: list the candidate options and keep
+  /// fastest()'s pick.
   void maybe_autotune(const ExecContext& ctx);
+  /// The fastest of `candidates` on synthesized frames of ctx's geometry;
+  /// nullopt when none plans.
+  [[nodiscard]] std::optional<CpuOptions> fastest(
+      const ExecContext& ctx, const std::vector<CpuOptions>& candidates);
 
   CpuOptions options_;
   /// tuned=auto whose first plan() has not measured yet.

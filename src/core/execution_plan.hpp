@@ -92,9 +92,8 @@ struct PlanKey {
   MapIdentity map;
   /// Canonical lens/view model names of the planning context's camera and
   /// view (empty when the context carried none). Captured once at plan
-  /// time for describe() and the autotune cache key; steady-state
-  /// matches() compares the POD generations in `map` instead, so the hot
-  /// path stays allocation-free.
+  /// time for describe(); steady-state matches() compares the POD
+  /// generations in `map` instead, so the hot path stays allocation-free.
   std::string lens;
   std::string view;
 };

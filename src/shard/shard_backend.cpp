@@ -222,7 +222,15 @@ class WorkerFleet {
     const pid_t pid = fork();
     if (pid < 0)
       throw Error(std::string("shard: fork failed: ") + std::strerror(errno));
-    if (pid == 0) worker_main(shard);  // never returns
+    if (pid == 0) {
+      // A worker touches only the ring mapping and its kernel's tables, so
+      // it keeps none of the host's descriptors: a pipe or socket the host
+      // closes must not stay open for the fleet's lifetime.
+#ifdef __linux__
+      close_range(3, ~0U, 0);
+#endif
+      worker_main(shard);  // never returns
+    }
     p.pid.store(pid, std::memory_order_relaxed);
     p.epoch.store(epoch, std::memory_order_relaxed);
     // Optimistic: the frame deadline covers a spawn that never comes up.

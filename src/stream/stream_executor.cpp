@@ -55,12 +55,9 @@ struct StreamExecutor::Stream {
 
 StreamExecutor::StreamExecutor(par::ThreadPool& pool,
                                StreamExecutorOptions options)
-    : options_(options),
-      scheduler_(options.lanes == 0 ? pool.size() : options.lanes,
-                 options.max_streams) {
+    : options_(options), scheduler_(pool.size(), options.max_streams) {
   FE_EXPECTS(options_.max_streams >= 1);
   FE_EXPECTS(options_.queue_depth >= 1);
-  FE_EXPECTS(options_.lanes <= pool.size());
   streams_.resize(options_.max_streams);
   service_.reserve(scheduler_.workers());
   try {

@@ -67,11 +67,6 @@ struct StreamExecutorOptions {
   /// A frame waiting longer than this between submit and its first
   /// executed tile counts as a starvation event in rt::StreamStats.
   double starvation_wait_seconds = 0.25;
-  /// Pool lanes dedicated to this executor (0 = every lane). Sizing it
-  /// below the pool's lane count lets several executors — multi-source
-  /// serving — split one ThreadPool: the lane sums of all services on the
-  /// pool must stay within its size.
-  unsigned lanes = 0;
 };
 
 /// See the header comment. Thread-safety: submit/wait/stats/add_stream/
@@ -79,10 +74,10 @@ struct StreamExecutorOptions {
 /// remove must not race each other (a stream has one producer).
 class StreamExecutor {
  public:
-  /// Serves streams on `options.lanes` lanes of `pool` (default: every
-  /// lane) until destruction, one dedicated thread per lane, so the pool's
-  /// own frames keep their workers; with fewer lanes, other executors take
-  /// the rest.
+  /// Serves streams on as many lanes as `pool` has until destruction, one
+  /// dedicated thread per lane, so the pool's own frames keep their
+  /// workers. Several executors may share one pool; each runs its own
+  /// service threads.
   explicit StreamExecutor(par::ThreadPool& pool,
                           StreamExecutorOptions options = {});
   ~StreamExecutor();
@@ -139,7 +134,7 @@ class StreamExecutor {
   /// Invalid for plan streams — their plans arrive per frame.
   [[nodiscard]] const core::ExecutionPlan& plan(StreamId id) const;
 
-  /// Lanes actually serving this executor (== options.lanes when set).
+  /// Lanes serving this executor (the pool's size).
   [[nodiscard]] unsigned workers() const noexcept {
     return scheduler_.workers();
   }

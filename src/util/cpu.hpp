@@ -18,8 +18,8 @@ struct CpuInfo {
 
   /// Compact ISA token, e.g. "sse2+avx2+fma", or "scalar" when the CPU
   /// reports none of the probed extensions. Stamped into plan debug
-  /// strings, bench JSON rows and autotune cache keys so every recorded
-  /// number names the hardware datapath that produced it.
+  /// strings and bench JSON rows so every recorded number names the
+  /// hardware datapath that produced it.
   [[nodiscard]] std::string isa() const;
 };
 

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "core/autotune.hpp"
 #include "core/backend_registry.hpp"
 #include "core/corrector.hpp"
 #include "core/cv_compat.hpp"
@@ -335,36 +334,6 @@ TEST(ModelZoo, ViewSpecsProduceDistinctOutputs) {
                    .view(ViewSpec::parse("quadview"))
                    .build(),
                fisheye::InvalidArgument);
-}
-
-TEST(ModelZoo, AutotuneCacheKeySeparatesModels) {
-  // Tuned decisions must not replay across lens/view identity: the cache
-  // key carries both names.
-  const int w = 96, h = 72;
-  img::Image8 src(w, h, 1), dst(w, h, 1);
-  const auto cam_a = core::FisheyeCamera::centered(
-      LensSpec::parse("equidistant"), w, h);
-  const auto cam_b = core::FisheyeCamera::centered(
-      LensSpec::parse("kannala_brandt:fov=170"), w, h);
-  const core::PerspectiveView persp(w, h, 80.0);
-  const core::CylindricalView cyl(w, h, deg_to_rad(200.0), 80.0);
-
-  core::ExecContext ctx;
-  ctx.src = src.cview();
-  ctx.dst = dst.view();
-  ctx.mode = core::MapMode::OnTheFly;
-  ctx.camera = &cam_a;
-  ctx.view = &persp;
-  const std::string key_a = core::autotune_cache_key(ctx, "pool");
-  ctx.camera = &cam_b;
-  const std::string key_b = core::autotune_cache_key(ctx, "pool");
-  EXPECT_NE(key_a, key_b);
-  ctx.camera = &cam_a;
-  ctx.view = &cyl;
-  EXPECT_NE(core::autotune_cache_key(ctx, "pool"), key_a);
-  ctx.camera = nullptr;
-  ctx.view = nullptr;
-  EXPECT_NE(core::autotune_cache_key(ctx, "pool"), key_a);
 }
 
 // --- serving ----------------------------------------------------------------

@@ -5,7 +5,8 @@
 // never a wrong pixel — and is respawned; a stopped (silent) worker is
 // detected as stalled and its strips lease back to the supervisor; the
 // ring's generation counters survive slot reuse (wraparound) with
-// distinct per-frame content; workers whose supervisor dies exit.
+// distinct per-frame content; workers whose supervisor dies exit, and
+// they hold none of the host's descriptors.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -290,6 +291,28 @@ TEST(Shard, WorkersExitWhenTheSupervisorDies) {
     EXPECT_TRUE(reaped[i]) << "worker " << pids[i]
                            << " outlived its supervisor by 2 s";
 #endif
+}
+
+TEST(Shard, WorkersDropInheritedDescriptors) {
+  // A pipe the host opened before planning: once the host closes its write
+  // end, the reader sees EOF, because no worker kept a copy.
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  Harness h;
+  ShardOptions o;
+  o.workers = 2;
+  o.heartbeat_ms = 20;
+  ShardBackend backend(o);
+  const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
+  const img::Image8 src = fisheye_frame(0);
+  img::Image8 out(kW, kH, 1);
+  h.corr.correct(prepared, src.view(), out.view());
+  close(fds[1]);
+  pollfd pfd{fds[0], POLLIN, 0};
+  char byte = 0;
+  const bool eof = poll(&pfd, 1, 1000) == 1 && read(fds[0], &byte, 1) == 0;
+  close(fds[0]);
+  EXPECT_TRUE(eof) << "a worker still holds the pipe's write end after 1 s";
 }
 
 TEST(Shard, ZeroCopyIngestSkipsSourceTransport) {

@@ -302,15 +302,13 @@ TEST(StreamExecutor, ConcurrentAddRemoveWhileServing) {
 }
 
 TEST(StreamExecutor, TwoExecutorsSplitOnePool) {
-  // Lane-scoped service: two executors take 2 lanes each of a 4-lane
-  // pool and serve concurrently — the multi-source serving topology.
+  // Two executors on one 2-lane pool serve concurrently, each on its own
+  // service threads — the multi-source serving topology.
   const int w = 96, h = 64;
   const core::Corrector corr = make_corrector(w, h);
-  par::ThreadPool pool(4);
-  StreamExecutorOptions opts;
-  opts.lanes = 2;
-  StreamExecutor exec_a(pool, opts);
-  StreamExecutor exec_b(pool, opts);
+  par::ThreadPool pool(2);
+  StreamExecutor exec_a(pool);
+  StreamExecutor exec_b(pool);
   EXPECT_EQ(exec_a.workers(), 2u);
   EXPECT_EQ(exec_b.workers(), 2u);
   const StreamId id_a = exec_a.add_stream(corr);

@@ -305,17 +305,15 @@ TEST(MortonOrder, OrderedTileScheduleCoversEveryPixelExactlyOnce) {
 // --- Services sharing one pool ---------------------------------------------
 
 TEST(WorkStealingPool, TwoServicesShareOneThreadPool) {
-  // Two stream executors split one pool's lanes (2 + 2 on a pool of 4).
-  // Each must make progress concurrently, and stopping one must only join
-  // its own service threads — the other keeps serving.
-  par::ThreadPool pool(4);
-  stream::StreamExecutorOptions opts;
-  opts.lanes = 2;
+  // Two stream executors on one 2-lane pool. Each must make progress
+  // concurrently, and stopping one must only join its own service
+  // threads — the other keeps serving.
+  par::ThreadPool pool(2);
   const core::Corrector corr(
       core::Corrector::builder(64, 48).fov_degrees(170.0).config());
   img::Image8 src(64, 48, 1), out_a(64, 48, 1), out_b(64, 48, 1);
-  auto a = std::make_unique<stream::StreamExecutor>(pool, opts);
-  stream::StreamExecutor b(pool, opts);
+  auto a = std::make_unique<stream::StreamExecutor>(pool);
+  stream::StreamExecutor b(pool);
   const stream::StreamId id_a = a->add_stream(corr);
   const stream::StreamId id_b = b.add_stream(corr);
   for (int f = 0; f < 5; ++f) {
