@@ -1,5 +1,5 @@
 // F24 — Process-level sharding: 1 -> N worker processes on one host,
-// frames through a shared-memory ring (src/shard). Measured on this
+// frames through one shared-memory frame (src/shard). Measured on this
 // machine (fps, p99 latency, shm transport), side by side with the
 // cluster simulator's model of the same strip decomposition over an
 // ideal-latency interconnect — the modeled column shows what the strip
@@ -111,7 +111,8 @@ int main(int argc, char** argv) {
   }
 
   // Ingest mode: the supervisor's staging copy vs rendering directly into
-  // the ring slot the next frame reads (zero-copy source path).
+  // the shared source frame (zero-copy source path). The row keeps its
+  // "ring-slot" label so results compare across versions.
   {
     const int w = 1920, h = 1080;
     const img::Image8 src = bench::make_input(w, h);

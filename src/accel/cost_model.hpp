@@ -82,7 +82,6 @@ struct AccelFrameStats {
   std::size_t tile_splits = 0;    ///< tiles split to fit the local store
   std::size_t steals = 0;         ///< Cell steal policy: steal operations
   double compute_cycles = 0.0;    ///< aggregate busy compute cycles
-  double dma_cycles = 0.0;        ///< aggregate DMA occupancy cycles
   double utilization = 0.0;       ///< busiest-lane compute / total
   // FPGA-specific:
   std::size_t cache_accesses = 0;

@@ -6,28 +6,12 @@
 
 namespace fisheye::accel {
 
-void DmaEngine::account(std::size_t bytes, bool inbound) {
-  if (bytes == 0) return;
-  const std::size_t elements =
-      (bytes + kMaxElementBytes - 1) / kMaxElementBytes;
-  stats_.transfers += 1;
-  stats_.list_elements += elements;
-  if (inbound)
-    stats_.bytes_in += bytes;
-  else
-    stats_.bytes_out += bytes;
-  // One latency per command; the list elements stream back-to-back.
-  stats_.cycles += cost_->dma_latency_cycles +
-                   static_cast<double>(bytes) / cost_->dma_bytes_per_cycle;
-}
-
-std::size_t DmaEngine::get_rect(img::ConstImageView<std::uint8_t> src,
-                                par::Rect box, std::uint8_t* local,
-                                std::size_t local_capacity) {
+std::size_t dma_get_rect(img::ConstImageView<std::uint8_t> src, par::Rect box,
+                         std::uint8_t* local, std::size_t local_capacity) {
   FE_EXPECTS(!box.empty());
   FE_EXPECTS(box.x0 >= 0 && box.y0 >= 0 && box.x1 <= src.width &&
              box.y1 <= src.height);
-  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kAlignment == 0);
+  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kDmaAlignment == 0);
   const std::size_t row_bytes =
       static_cast<std::size_t>(box.width()) * src.channels;
   const std::size_t total = row_bytes * static_cast<std::size_t>(box.height());
@@ -36,36 +20,30 @@ std::size_t DmaEngine::get_rect(img::ConstImageView<std::uint8_t> src,
     std::memcpy(local + row_bytes * static_cast<std::size_t>(y - box.y0),
                 src.row(y) + static_cast<std::size_t>(box.x0) * src.channels,
                 row_bytes);
-  account(total, /*inbound=*/true);
   return total;
 }
 
-std::size_t DmaEngine::get_linear(const void* src, std::size_t bytes,
-                                  std::uint8_t* local,
-                                  std::size_t local_capacity) {
+std::size_t dma_get_linear(const void* src, std::size_t bytes,
+                           std::uint8_t* local, std::size_t local_capacity) {
   FE_EXPECTS(bytes <= local_capacity);
-  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kAlignment == 0);
+  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kDmaAlignment == 0);
   std::memcpy(local, src, bytes);
-  account(bytes, /*inbound=*/true);
   return bytes;
 }
 
-std::size_t DmaEngine::put_rect(const std::uint8_t* local,
-                                img::ImageView<std::uint8_t> dst,
-                                par::Rect box) {
+std::size_t dma_put_rect(const std::uint8_t* local,
+                         img::ImageView<std::uint8_t> dst, par::Rect box) {
   FE_EXPECTS(!box.empty());
   FE_EXPECTS(box.x0 >= 0 && box.y0 >= 0 && box.x1 <= dst.width &&
              box.y1 <= dst.height);
-  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kAlignment == 0);
+  FE_EXPECTS(reinterpret_cast<std::uintptr_t>(local) % kDmaAlignment == 0);
   const std::size_t row_bytes =
       static_cast<std::size_t>(box.width()) * dst.channels;
   for (int y = box.y0; y < box.y1; ++y)
     std::memcpy(dst.row(y) + static_cast<std::size_t>(box.x0) * dst.channels,
                 local + row_bytes * static_cast<std::size_t>(y - box.y0),
                 row_bytes);
-  const std::size_t total = row_bytes * static_cast<std::size_t>(box.height());
-  account(total, /*inbound=*/false);
-  return total;
+  return row_bytes * static_cast<std::size_t>(box.height());
 }
 
 }  // namespace fisheye::accel

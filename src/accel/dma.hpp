@@ -1,63 +1,36 @@
-// Explicit DMA engine model (Cell MFC style).
+// Explicit DMA copies (Cell MFC style).
 //
-// Functional role: copies pixel rectangles between host frames and local-
-// store buffers, so the simulated SPE kernel really does operate on a
-// private copy (any indexing bug corrupts output and is caught by tests).
-// Accounting role: every transfer is charged latency + size/bandwidth, with
-// large transfers split into hardware-sized list elements, and alignment
-// rules enforced the way the MFC enforces them.
+// Copies pixel rectangles between host frames and local-store buffers, so
+// the simulated SPE kernel really does operate on a private copy (any
+// indexing bug corrupts output and is caught by tests), with the
+// alignment rule the MFC enforces. Transfer time is not counted here: the
+// platform's cost model charges each transfer (SpeCostModel, tile_cost).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
-#include "accel/cost_model.hpp"
 #include "image/image.hpp"
 #include "parallel/partition.hpp"
 
 namespace fisheye::accel {
 
-/// Per-engine transfer statistics (one engine per simulated SPE).
-struct DmaStats {
-  std::size_t transfers = 0;      ///< user-level get/put calls
-  std::size_t list_elements = 0;  ///< hardware elements after splitting
-  std::size_t bytes_in = 0;
-  std::size_t bytes_out = 0;
-  double cycles = 0.0;
-};
+/// Required alignment of local-store addresses (quadword).
+inline constexpr std::size_t kDmaAlignment = 16;
 
-class DmaEngine {
- public:
-  /// Hardware maximum per DMA list element (Cell MFC: 16 KB).
-  static constexpr std::size_t kMaxElementBytes = 16 * 1024;
-  /// Required alignment of local-store addresses (quadword).
-  static constexpr std::size_t kAlignment = 16;
-
-  explicit DmaEngine(const SpeCostModel& cost) : cost_(&cost) {}
-
-  /// GET: copy rect `box` of `src` (full-frame coordinates) into the local
-  /// buffer `local` laid out as box.width()*channels contiguous bytes per
-  /// row. `local_capacity` is checked. Returns bytes moved.
-  std::size_t get_rect(img::ConstImageView<std::uint8_t> src, par::Rect box,
-                       std::uint8_t* local, std::size_t local_capacity);
-
-  /// GET for raw arrays (map tiles): `bytes` from host `src` into `local`.
-  std::size_t get_linear(const void* src, std::size_t bytes,
+/// GET: copy rect `box` of `src` (full-frame coordinates) into the local
+/// buffer `local` laid out as box.width()*channels contiguous bytes per
+/// row. `local_capacity` is checked. Returns bytes moved.
+std::size_t dma_get_rect(img::ConstImageView<std::uint8_t> src, par::Rect box,
                          std::uint8_t* local, std::size_t local_capacity);
 
-  /// PUT: copy the local tile (tight rows of box.width()*channels) into
-  /// rect `box` of the destination frame.
-  std::size_t put_rect(const std::uint8_t* local,
-                       img::ImageView<std::uint8_t> dst, par::Rect box);
+/// GET for raw arrays (map tiles): `bytes` from host `src` into `local`.
+std::size_t dma_get_linear(const void* src, std::size_t bytes,
+                           std::uint8_t* local, std::size_t local_capacity);
 
-  [[nodiscard]] const DmaStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
-
- private:
-  /// Charge one logical transfer of `bytes` (split into list elements).
-  void account(std::size_t bytes, bool inbound);
-
-  const SpeCostModel* cost_;
-  DmaStats stats_;
-};
+/// PUT: copy the local tile (tight rows of box.width()*channels) into
+/// rect `box` of the destination frame. Returns bytes moved.
+std::size_t dma_put_rect(const std::uint8_t* local,
+                         img::ImageView<std::uint8_t> dst, par::Rect box);
 
 }  // namespace fisheye::accel

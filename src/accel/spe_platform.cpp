@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "accel/dma.hpp"
 #include "core/execution_plan.hpp"
 #include "core/kernel.hpp"
 #include "parallel/work_stealing.hpp"
@@ -358,15 +359,13 @@ AccelFrameStats CellLikePlatform::run_frame(
     }
     lane.busy_compute += tc.compute;
     stats.compute_cycles += tc.compute;
-    stats.dma_cycles += tc.dma_in + tc.dma_out;
 
     // --- functional execution through the local store ---
     store.reset();
     const std::size_t out_px = static_cast<std::size_t>(tile.out.area());
     const std::size_t map_bytes = map_slice_bytes(tile.out);
-    DmaEngine dma(c);
     std::uint8_t* map_local = store.allocate(map_bytes);
-    dma.get_linear(cmap_ ? static_cast<const void*>(tile_grids_[t].data())
+    dma_get_linear(cmap_ ? static_cast<const void*>(tile_grids_[t].data())
                          : static_cast<const void*>(tile_maps_[t].data()),
                    map_bytes, map_local, map_bytes);
 
@@ -381,7 +380,7 @@ AccelFrameStats CellLikePlatform::run_frame(
           static_cast<std::size_t>(tile.src_box.area()) *
           static_cast<std::size_t>(channels_);
       std::uint8_t* src_local = store.allocate(src_bytes);
-      dma.get_rect(src, tile.src_box, src_local, src_bytes);
+      dma_get_rect(src, tile.src_box, src_local, src_bytes);
       stats.bytes_in += src_bytes;
 
       const int win_w = tile.src_box.width();
@@ -405,7 +404,7 @@ AccelFrameStats CellLikePlatform::run_frame(
                 static_cast<std::size_t>(tile.out.x0) * channels_,
             static_cast<std::size_t>(tw) * channels_);
     }
-    dma.put_rect(out_local, dst, tile.out);
+    dma_put_rect(out_local, dst, tile.out);
     stats.bytes_in += map_bytes;
     stats.bytes_out += out_px * channels_;
   }

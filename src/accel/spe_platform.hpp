@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "accel/cost_model.hpp"
-#include "accel/dma.hpp"
 #include "accel/local_store.hpp"
 #include "core/mapping.hpp"
 #include "image/image.hpp"

@@ -143,12 +143,6 @@ void ClusterSimBackend::execute(const core::ExecutionPlan& plan,
                  net.message_time(out_bytes);
   }
 
-  stats.comm_seconds =
-      scatter_clock + (recv_clock - std::max(scatter_clock,
-                                             *std::max_element(
-                                                 rank_done.begin(),
-                                                 rank_done.end())));
-  if (stats.comm_seconds < 0.0) stats.comm_seconds = scatter_clock;
   stats.seconds = recv_clock;
   stats.fps = stats.seconds > 0.0 ? 1.0 / stats.seconds : 0.0;
   stats.speedup =

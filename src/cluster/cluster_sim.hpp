@@ -72,7 +72,6 @@ struct ClusterFrameStats {
   double seconds = 0.0;        ///< modeled end-to-end frame time
   double fps = 0.0;
   double compute_seconds = 0.0;   ///< sum over ranks (work)
-  double comm_seconds = 0.0;      ///< root-serialized send+recv time
   std::size_t bytes_scattered = 0;
   std::size_t bytes_gathered = 0;
   int ranks = 0;

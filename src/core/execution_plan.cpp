@@ -83,11 +83,6 @@ std::string ExecutionPlan::describe() const {
   os << ", isa=" << util::cpu_info().isa();
   if (!key_.lens.empty()) os << ", lens=" << key_.lens;
   if (!key_.view.empty()) os << ", view=" << key_.view;
-  if (inst_->transport_bytes != 0 || inst_->fallback_strips != 0 ||
-      inst_->respawns != 0)
-    os << ", shard[transport=" << inst_->transport_bytes / 1024
-       << "KiB, fallbacks=" << inst_->fallback_strips
-       << ", respawns=" << inst_->respawns << ']';
   return os.str();
 }
 
@@ -98,9 +93,6 @@ rt::TileStats ExecutionPlan::tile_stats() const {
   t.local_tiles = inst_->local_tiles;
   t.stolen_tiles = inst_->stolen_tiles;
   t.steals = inst_->steals;
-  t.transport_bytes = inst_->transport_bytes;
-  t.fallback_strips = inst_->fallback_strips;
-  t.respawns = inst_->respawns;
   return t;
 }
 

@@ -17,8 +17,8 @@
 //  * a ResolvedKernel — the tile compute function, looked up in the kernel
 //    catalogue (core/kernel.hpp) once at plan time;
 //  * a Workspace arena — the tile vector plus every steady-state scratch
-//    buffer (steal order and runs), sized at plan time so execute()
-//    performs no heap allocation;
+//    buffer (steal runs), sized at plan time so execute() performs no
+//    heap allocation;
 //  * per-tile instrumentation slots: every backend — the CPU backends and
 //    the accelerator simulators — fills one seconds slot per tile each
 //    frame (wall-clock on CPU, cycle-model on the simulators) plus byte
@@ -124,12 +124,6 @@ struct PlanInstrumentation {
   std::size_t local_tiles = 0;
   std::size_t stolen_tiles = 0;
   std::size_t steals = 0;
-  /// Process-sharding counters (backend=shard; zero elsewhere): shm bytes
-  /// moved this frame, strips the supervisor computed locally, and
-  /// cumulative worker respawns since the plan forked its fleet.
-  std::size_t transport_bytes = 0;
-  std::size_t fallback_strips = 0;
-  std::size_t respawns = 0;
 
   /// Reset the slots for a frame of `tiles` tiles (reuses capacity).
   void begin_frame(std::size_t tiles) {
@@ -137,9 +131,6 @@ struct PlanInstrumentation {
     local_tiles = 0;
     stolen_tiles = 0;
     steals = 0;
-    transport_bytes = 0;
-    fallback_strips = 0;
-    respawns = 0;
   }
 };
 

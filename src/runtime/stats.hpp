@@ -42,13 +42,6 @@ struct TileStats {
   std::size_t local_tiles = 0;
   std::size_t stolen_tiles = 0;
   std::size_t steals = 0;
-  /// Process-sharding counters (backend=shard; zero elsewhere): shm bytes
-  /// moved for the frame (source in + strips out), strips the supervisor
-  /// computed locally because a worker was dead/stalled/past deadline, and
-  /// cumulative worker respawns since the plan forked its fleet.
-  std::size_t transport_bytes = 0;
-  std::size_t fallback_strips = 0;
-  std::size_t respawns = 0;
 };
 
 /// Summarize per-tile seconds into a TileStats; byte counters are copied
@@ -97,17 +90,17 @@ struct ServeStats {
 
 /// Cumulative supervisor-side counters of the multi-process shard backend
 /// (shard::ShardBackend), reset each time a plan forks a fresh worker
-/// fleet. Transport counts payload bytes actually copied across the shared
-/// ring (a source already rendered into the ring costs zero in);
+/// fleet. Transport counts payload bytes actually copied through the shared
+/// frame (a source already rendered into it costs zero in);
 /// fallback_strips are frames' strips the supervisor computed locally so
 /// every frame stays complete when workers die or stall.
 struct ShardStats {
   int workers = 0;            ///< worker processes the plan forked
   std::size_t frames = 0;     ///< frames executed under the plan
-  std::size_t transport_in_bytes = 0;   ///< source bytes copied into the ring
-  std::size_t transport_out_bytes = 0;  ///< strip bytes copied out of the ring
+  std::size_t transport_in_bytes = 0;   ///< source bytes copied in
+  std::size_t transport_out_bytes = 0;  ///< strip bytes copied out
   std::size_t fallback_strips = 0;  ///< strips computed by the supervisor
-  std::size_t respawns = 0;   ///< crashed workers re-forked (waitpid path)
+  std::size_t respawns = 0;   ///< dead workers re-forked (successful forks)
   std::size_t stalls = 0;     ///< live→stalled transitions (heartbeat timeout)
   double wait_seconds = 0.0;  ///< supervisor time spent waiting on workers
 };

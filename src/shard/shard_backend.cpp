@@ -12,7 +12,7 @@
 #include "core/kernel.hpp"
 #include "parallel/partition.hpp"
 #include "runtime/timer.hpp"
-#include "shard/shard_ring.hpp"
+#include "shard/shared_frame.hpp"
 #include "util/error.hpp"
 
 #ifdef _WIN32
@@ -36,8 +36,8 @@ void copy_rows(img::View8 dst, img::CView8 src, const par::Rect& r) {
 
 }  // namespace
 
-/// The plan-owned process fleet: ring, workers, monitor thread, counters.
-/// Forked at plan() time; destroyed with the last plan copy.
+/// The plan-owned process fleet: shared frame, workers, monitor thread,
+/// counters. Forked at plan() time; destroyed with the last plan copy.
 class WorkerFleet {
  public:
   WorkerFleet(const ShardOptions& opts, const core::ExecContext& ectx,
@@ -45,22 +45,24 @@ class WorkerFleet {
       : opts_(opts),
         strips_(std::move(strips)),
         kernel_(kernel),
-        ring_(std::make_unique<FrameRing>(
-            FrameRing::Geometry{ectx.src.width, ectx.src.height,
-                                ectx.dst.width, ectx.dst.height,
-                                ectx.src.channels},
-            opts.ring, static_cast<int>(strips_.size()))),
+        frame_(std::make_unique<SharedFrame>(
+            SharedFrame::Geometry{ectx.src.width, ectx.src.height,
+                                  ectx.dst.width, ectx.dst.height,
+                                  ectx.src.channels},
+            static_cast<int>(strips_.size()))),
         procs_(strips_.size()) {
     for (std::size_t s = 0; s < strips_.size(); ++s)
-      spawn(static_cast<int>(s), /*epoch=*/1);
+      if (!spawn(static_cast<int>(s), /*epoch=*/1))
+        throw Error(std::string("shard: fork failed: ") +
+                    std::strerror(errno));
     monitor_ = std::thread([this] { monitor_loop(); });
   }
 
   ~WorkerFleet() {
     stopping_.store(true, std::memory_order_relaxed);
-    ring_->header().shutdown.store(1, std::memory_order_release);
-    ring_->header().doorbell.fetch_add(1, std::memory_order_release);
-    futex_wake_all(ring_->header().doorbell);
+    frame_->header().shutdown.store(1, std::memory_order_release);
+    frame_->header().doorbell.fetch_add(1, std::memory_order_release);
+    futex_wake_all(frame_->header().doorbell);
     if (monitor_.joinable()) monitor_.join();
     for (WorkerProc& p : procs_) {
       const long pid = p.pid.load(std::memory_order_relaxed);
@@ -93,24 +95,21 @@ class WorkerFleet {
     const std::size_t nshards = strips_.size();
     inst.begin_frame(nshards);
 
-    RingHeader& hdr = ring_->header();
+    FrameHeader& hdr = frame_->header();
     const std::uint64_t seq = ++next_seq_;
-    const int slot = static_cast<int>(seq % ring_->slots());
-    const img::View8 slot_src = ring_->slot_src(slot);
-    const img::View8 slot_dst = ring_->slot_dst(slot);
+    const img::View8 shared_src = frame_->src();
 
-    // Stage the source into the slot — skipped entirely when the caller
-    // already rendered into next_input() (zero-copy ingest).
+    // Stage the source into the shared frame — skipped entirely when the
+    // caller already rendered into next_input() (zero-copy ingest).
     std::size_t in_bytes = 0;
-    if (ctx.src.data != slot_src.data) {
+    if (ctx.src.data != shared_src.data) {
       const std::size_t row_bytes =
           static_cast<std::size_t>(ctx.src.width) * ctx.src.channels;
       for (int y = 0; y < ctx.src.height; ++y)
-        std::memcpy(slot_src.row(y), ctx.src.row(y), row_bytes);
+        std::memcpy(shared_src.row(y), ctx.src.row(y), row_bytes);
       in_bytes = row_bytes * static_cast<std::size_t>(ctx.src.height);
     }
 
-    ring_->slot(slot).seq.store(seq, std::memory_order_release);
     hdr.frame_seq.store(seq, std::memory_order_release);
     hdr.doorbell.fetch_add(1, std::memory_order_release);
     futex_wake_all(hdr.doorbell);
@@ -123,7 +122,7 @@ class WorkerFleet {
       bool missing = false;
       for (std::size_t s = 0; s < nshards; ++s) {
         if (!procs_[s].live.load(std::memory_order_relaxed)) continue;
-        if (ring_->slab(static_cast<int>(s))
+        if (frame_->slab(static_cast<int>(s))
                 .done_seq.load(std::memory_order_acquire) < seq) {
           missing = true;
           break;
@@ -138,16 +137,18 @@ class WorkerFleet {
         static_cast<std::uint64_t>(wait_sw.elapsed_seconds() * 1e9),
         std::memory_order_relaxed);
 
-    // Gather: copy finished strips out of the ring; compute the rest
-    // locally with the same (deterministic) kernel so the frame is
-    // complete and bit-exact regardless of fleet health.
+    // Gather: copy finished strips out of the shared frame; compute the
+    // rest locally with the same (deterministic) kernel so the frame is
+    // complete and bit-exact regardless of fleet health. The done_seq
+    // gate is what keeps a late worker's strip of an earlier frame out.
+    const img::View8 shared_dst = frame_->dst();
     std::size_t out_bytes = 0;
     std::size_t fallbacks = 0;
     for (std::size_t s = 0; s < nshards; ++s) {
       const par::Rect& strip = strips_[s];
-      WorkerSlab& slab = ring_->slab(static_cast<int>(s));
+      WorkerSlab& slab = frame_->slab(static_cast<int>(s));
       if (slab.done_seq.load(std::memory_order_acquire) >= seq) {
-        copy_rows(ctx.dst, slot_dst, strip);
+        copy_rows(ctx.dst, shared_dst, strip);
         out_bytes += static_cast<std::size_t>(strip.width()) *
                      strip.height() * ctx.dst.channels;
         inst.tile_seconds[s] =
@@ -163,9 +164,6 @@ class WorkerFleet {
     inst.bytes_in = plan.workspace().bytes_in_estimate;
     inst.bytes_out = plan.workspace().bytes_out_estimate;
     inst.modeled = false;
-    inst.transport_bytes = in_bytes + out_bytes;
-    inst.fallback_strips = fallbacks;
-    inst.respawns = respawns_.load(std::memory_order_relaxed);
 
     frames_.fetch_add(1, std::memory_order_relaxed);
     t_in_.fetch_add(in_bytes, std::memory_order_relaxed);
@@ -193,16 +191,11 @@ class WorkerFleet {
       out[s].pid = procs_[s].pid.load(std::memory_order_relaxed);
       out[s].live = procs_[s].live.load(std::memory_order_relaxed);
       out[s].epoch = procs_[s].epoch.load(std::memory_order_relaxed);
-      out[s].frames = ring_->slab(static_cast<int>(s))
-                          .frames.load(std::memory_order_relaxed);
     }
     return out;
   }
 
-  [[nodiscard]] img::View8 next_input() const {
-    return ring_->slot_src(
-        static_cast<int>((next_seq_ + 1) % ring_->slots()));
-  }
+  [[nodiscard]] img::View8 next_input() const { return frame_->src(); }
 
  private:
   struct WorkerProc {
@@ -214,16 +207,17 @@ class WorkerFleet {
     bool was_stalled = false;
   };
 
-  void spawn(int shard, std::uint32_t epoch) {
+  /// Forks shard `shard`'s worker. Returns false, with errno set, when
+  /// fork fails; the shard then stays dead.
+  bool spawn(int shard, std::uint32_t epoch) {
     WorkerProc& p = procs_[static_cast<std::size_t>(shard)];
-    p.seen_beat = ring_->slab(shard).heartbeat.load(std::memory_order_relaxed);
+    p.seen_beat = frame_->slab(shard).heartbeat.load(std::memory_order_relaxed);
     p.beat_time = clock_.elapsed_seconds();
     p.was_stalled = false;
     const pid_t pid = fork();
-    if (pid < 0)
-      throw Error(std::string("shard: fork failed: ") + std::strerror(errno));
+    if (pid < 0) return false;
     if (pid == 0) {
-      // A worker touches only the ring mapping and its kernel's tables, so
+      // A worker touches only the shared mapping and its kernel's tables, so
       // it keeps none of the host's descriptors: a pipe or socket the host
       // closes must not stay open for the fleet's lifetime.
 #ifdef __linux__
@@ -235,17 +229,20 @@ class WorkerFleet {
     p.epoch.store(epoch, std::memory_order_relaxed);
     // Optimistic: the frame deadline covers a spawn that never comes up.
     p.live.store(true, std::memory_order_relaxed);
+    return true;
   }
 
-  /// Worker process entry. Inherits the ring mapping, its strip, the
+  /// Worker process entry. Inherits the shared mapping, its strip, the
   /// heartbeat period and the resolved kernel (fork's copy-on-write keeps
   /// its bound map/camera pointers valid), so the child needs no message
   /// and no plan re-resolution. It reports through its slab alone; the
   /// heartbeat word is bumped once on start and after every futex return.
   [[noreturn]] void worker_main(int shard) {
     const par::Rect strip = strips_[static_cast<std::size_t>(shard)];
-    RingHeader& hdr = ring_->header();
-    WorkerSlab& me = ring_->slab(shard);
+    const img::View8 src = frame_->src();
+    const img::View8 dst = frame_->dst();
+    FrameHeader& hdr = frame_->header();
+    WorkerSlab& me = frame_->slab(shard);
     me.heartbeat.fetch_add(1, std::memory_order_release);
 
     std::uint64_t seen = me.done_seq.load(std::memory_order_relaxed);
@@ -267,18 +264,10 @@ class WorkerFleet {
         me.heartbeat.fetch_add(1, std::memory_order_release);
         continue;
       }
-      const int slot = static_cast<int>(seq % ring_->slots());
-      if (ring_->slot(slot).seq.load(std::memory_order_acquire) != seq) {
-        // We slept through this frame and the supervisor reused the slot;
-        // its fallback already covered our strip. Catch up.
-        seen = seq;
-        continue;
-      }
       const rt::Stopwatch sw;
-      kernel_(ring_->slot_src(slot), ring_->slot_dst(slot), strip);
+      kernel_(src, dst, strip);
       me.last_ns.store(static_cast<std::uint64_t>(sw.elapsed_seconds() * 1e9),
                        std::memory_order_relaxed);
-      me.frames.fetch_add(1, std::memory_order_relaxed);
       me.heartbeat.fetch_add(1, std::memory_order_release);
       seen = seq;
       me.done_seq.store(seq, std::memory_order_release);
@@ -303,9 +292,23 @@ class WorkerFleet {
       for (std::size_t s = 0; s < procs_.size(); ++s) {
         WorkerProc& p = procs_[s];
         const long pid = p.pid.load(std::memory_order_relaxed);
-        if (pid <= 0) continue;
+        // Crash detection + respawn. A shard whose fork failed (pid -1)
+        // stays dead, the supervisor computes its strip, and every tick
+        // forks it again: a host out of processes loses throughput, not
+        // the process.
+        int status = 0;
+        if (pid <= 0 ||
+            waitpid(static_cast<pid_t>(pid), &status, WNOHANG) == pid) {
+          p.live.store(false, std::memory_order_relaxed);
+          p.pid.store(-1, std::memory_order_relaxed);
+          if (!stopping_.load(std::memory_order_relaxed) &&
+              spawn(static_cast<int>(s),
+                    p.epoch.load(std::memory_order_relaxed) + 1))
+            respawns_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
         // Liveness: the slab heartbeat moved since the last tick.
-        const std::uint32_t beat = ring_->slab(static_cast<int>(s))
+        const std::uint32_t beat = frame_->slab(static_cast<int>(s))
                                        .heartbeat.load(
                                            std::memory_order_relaxed);
         if (beat != p.seen_beat) {
@@ -315,18 +318,6 @@ class WorkerFleet {
             p.was_stalled = false;  // it woke up; hand the strip back
             p.live.store(true, std::memory_order_relaxed);
           }
-        }
-        // Crash detection + respawn.
-        int status = 0;
-        if (waitpid(static_cast<pid_t>(pid), &status, WNOHANG) == pid) {
-          p.live.store(false, std::memory_order_relaxed);
-          p.pid.store(-1, std::memory_order_relaxed);
-          if (!stopping_.load(std::memory_order_relaxed)) {
-            respawns_.fetch_add(1, std::memory_order_relaxed);
-            spawn(static_cast<int>(s),
-                  p.epoch.load(std::memory_order_relaxed) + 1);
-          }
-          continue;
         }
         // Stall detection: silent but not dead. Strips lease back to the
         // supervisor (live=false) until heartbeats resume; a worker wedged
@@ -347,7 +338,7 @@ class WorkerFleet {
   ShardOptions opts_;
   std::vector<par::Rect> strips_;
   core::ResolvedKernel kernel_;
-  std::unique_ptr<FrameRing> ring_;
+  std::unique_ptr<SharedFrame> frame_;
   std::vector<WorkerProc> procs_;
   rt::Stopwatch clock_;
   /// Recorded before any fork; a worker whose parent is no longer this
@@ -369,7 +360,6 @@ class WorkerFleet {
 
 ShardBackend::ShardBackend(ShardOptions options) : options_(options) {
   FE_EXPECTS(options.workers >= 1);
-  FE_EXPECTS(options.ring >= 1);
   FE_EXPECTS(options.timeout_ms >= 1);
   FE_EXPECTS(options.heartbeat_ms >= 1);
 }
@@ -407,7 +397,6 @@ std::string ShardBackend::name() const {
   core::SpecBuilder spec("shard");
   spec.opt("workers", options_.workers);
   const ShardOptions def;
-  if (options_.ring != def.ring) spec.opt("ring", options_.ring);
   if (options_.timeout_ms != def.timeout_ms)
     spec.opt("timeout_ms", options_.timeout_ms);
   if (options_.heartbeat_ms != def.heartbeat_ms)

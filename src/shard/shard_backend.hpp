@@ -5,16 +5,18 @@
 // step between the two that production video servers actually deploy:
 // REAL processes on one host, so a crashed or wedged decoder takes down
 // its strip, not the server. The supervisor owns the Corrector plan and a
-// shared-memory FrameRing (shard_ring.hpp); each worker is a fork of the
-// planned process executing the same resolved scalar kernel over its row
-// strip of every frame. Frames flow through the ring (source in, strips
-// out, generation counters + futex doorbells). The ring is also the only
-// control channel: a worker inherits its strip and heartbeat period
-// through fork, and reports liveness by bumping the heartbeat word of its
-// WorkerSlab on start and after every doorbell wait.
+// SharedFrame (shared_frame.hpp): one shared source and one shared output
+// frame, since the supervisor runs one frame at a time. Each worker is a
+// fork of the planned process executing the same resolved scalar kernel
+// over its row strip of every frame (source in, strips out, sequence
+// counters + futex doorbells). The mapping is also the only control
+// channel: a worker inherits its strip and heartbeat period through fork,
+// and reports liveness by bumping the heartbeat word of its WorkerSlab on
+// start and after every doorbell wait.
 //
 // Supervision: a monitor thread reaps crashed workers (waitpid), respawns
-// them with a bumped epoch, marks silent ones stalled after a heartbeat
+// them with a bumped epoch (a fork that fails leaves the shard dead and is
+// retried on the next tick), marks silent ones stalled after a heartbeat
 // timeout, and SIGKILLs workers that stay wedged. A worker whose
 // supervisor dies exits on its next wait tick (its parent pid changed). A
 // frame never waits on a dead or stalled worker past the frame deadline —
@@ -23,10 +25,10 @@
 // frame completes; `kill -9` costs at most one frame's latency, not the
 // stream.
 //
-// Spec: shard:<N> | shard:workers=N[,ring=R][,timeout_ms=T]
-//       [,heartbeat_ms=H][,map=...]   (see shard_registry.cpp)
+// Spec: shard:<N> | shard:workers=N[,timeout_ms=T][,heartbeat_ms=H]
+//       [,map=...]   (see shard_registry.cpp)
 //
-// Construction does NOT fork — the fleet (ring + processes + monitor) is
+// Construction does NOT fork — the fleet (frame + processes + monitor) is
 // created at plan() time, when the frame geometry is known, and torn down
 // with the plan's state. Steady-state execute() is allocation-free and
 // zero-copy on the source when the caller writes frames directly into
@@ -45,7 +47,6 @@ namespace fisheye::shard {
 
 struct ShardOptions {
   int workers = 4;  ///< processes to fork (clamped to output rows at plan)
-  int ring = 4;     ///< frame slots in the shared ring
   /// Frame deadline: after this long the supervisor stops waiting and
   /// computes unfinished strips locally.
   int timeout_ms = 2000;
@@ -56,11 +57,10 @@ struct ShardOptions {
 
 /// One worker's supervision snapshot (tests and the bench poke at this).
 struct ShardWorkerInfo {
-  int shard = 0;             ///< strip index == worker index
-  long pid = -1;             ///< current process (-1 between respawns)
-  bool live = false;         ///< heartbeating and assigned
-  std::uint32_t epoch = 0;   ///< respawn generation (0 = original fork)
-  std::uint64_t frames = 0;  ///< strips this shard's processes computed
+  int shard = 0;            ///< strip index == worker index
+  long pid = -1;            ///< current process (-1 while dead)
+  bool live = false;        ///< heartbeating and assigned
+  std::uint32_t epoch = 0;  ///< respawn generation (1 = original fork)
 };
 
 class WorkerFleet;
@@ -88,9 +88,10 @@ class ShardBackend final : public core::Backend {
   /// Per-worker supervision snapshots of the most recent fleet.
   [[nodiscard]] std::vector<ShardWorkerInfo> workers_info() const;
 
-  /// The ring slot the NEXT execute() will read the source from. A caller
-  /// that renders/decodes directly into this view skips the supervisor's
-  /// source copy entirely (execute detects src.data == slot data).
+  /// The shared source frame every execute() reads. A caller that
+  /// renders/decodes the next frame directly into this view skips the
+  /// supervisor's source copy entirely (execute detects src.data == this
+  /// view's data).
   [[nodiscard]] img::View8 next_input() const;
 
  private:

@@ -12,7 +12,7 @@ namespace fisheye::shard {
 namespace {
 
 constexpr const char* kShardOptions =
-    "<N>|workers=N, ring=N, timeout_ms=N, heartbeat_ms=N, "
+    "<N>|workers=N, timeout_ms=N, heartbeat_ms=N, "
     "map=float|packed|compact:<stride>";
 
 std::unique_ptr<core::Backend> make_shard(core::BackendSpec& spec) {
@@ -20,8 +20,6 @@ std::unique_ptr<core::Backend> make_shard(core::BackendSpec& spec) {
   o.workers = spec.bare_int(o.workers);
   o.workers = spec.value_int("workers", o.workers);
   core::require_spec_range(spec, "workers", o.workers, 1, 64);
-  o.ring = spec.value_int("ring", o.ring);
-  core::require_spec_range(spec, "ring", o.ring, 1, 16);
   o.timeout_ms = spec.value_int("timeout_ms", o.timeout_ms);
   core::require_spec_range(spec, "timeout_ms", o.timeout_ms, 1, 600000);
   o.heartbeat_ms = spec.value_int("heartbeat_ms", o.heartbeat_ms);

@@ -1,4 +1,4 @@
-#include "shard/shard_ring.hpp"
+#include "shard/shared_frame.hpp"
 
 #include <cerrno>
 #include <cstring>
@@ -24,9 +24,9 @@ static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "cross-process futex words must be lock-free");
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "cross-process sequence counters must be lock-free");
-static_assert(sizeof(RingHeader) == 64 && sizeof(WorkerSlab) == 64 &&
-                  sizeof(SlotHeader) == 64,
-              "shared blocks are exactly one cache line");
+static_assert(sizeof(FrameHeader) == 64 && sizeof(WorkerSlab) == 64,
+              "shared blocks are exactly one cache line, so the frames "
+              "after them start on one");
 
 void futex_wait(const std::atomic<std::uint32_t>& word, std::uint32_t expected,
                 int timeout_ms) noexcept {
@@ -58,66 +58,51 @@ void futex_wake_all(const std::atomic<std::uint32_t>& word) noexcept {
 #endif
 }
 
-FrameRing::FrameRing(const Geometry& geometry, int slots, int workers)
-    : geo_(geometry), slots_(slots), workers_(workers) {
+SharedFrame::SharedFrame(const Geometry& geometry, int workers) {
   FE_EXPECTS(geometry.src_w > 0 && geometry.src_h > 0);
   FE_EXPECTS(geometry.dst_w > 0 && geometry.dst_h > 0);
   FE_EXPECTS(geometry.channels > 0 && geometry.channels <= 4);
-  FE_EXPECTS(slots > 0 && workers > 0);
+  FE_EXPECTS(workers > 0);
 
-  src_pitch_ = util::align_up(
-      static_cast<std::size_t>(geo_.src_w) * geo_.channels, util::kCacheLine);
-  dst_pitch_ = util::align_up(
-      static_cast<std::size_t>(geo_.dst_w) * geo_.channels, util::kCacheLine);
-  slab_off_ = sizeof(RingHeader);
-  slot0_off_ = util::align_up(
-      slab_off_ + sizeof(WorkerSlab) * static_cast<std::size_t>(workers_),
+  const std::size_t src_pitch = util::align_up(
+      static_cast<std::size_t>(geometry.src_w) * geometry.channels,
       util::kCacheLine);
-  src_off_ = sizeof(SlotHeader);
-  dst_off_ = src_off_ + src_pitch_ * static_cast<std::size_t>(geo_.src_h);
-  slot_stride_ = util::align_up(
-      dst_off_ + dst_pitch_ * static_cast<std::size_t>(geo_.dst_h),
+  const std::size_t dst_pitch = util::align_up(
+      static_cast<std::size_t>(geometry.dst_w) * geometry.channels,
       util::kCacheLine);
-  size_ = slot0_off_ + slot_stride_ * static_cast<std::size_t>(slots_);
+  const std::size_t src_off =
+      sizeof(FrameHeader) +
+      sizeof(WorkerSlab) * static_cast<std::size_t>(workers);
+  const std::size_t dst_off =
+      src_off + src_pitch * static_cast<std::size_t>(geometry.src_h);
+  size_ = dst_off + dst_pitch * static_cast<std::size_t>(geometry.dst_h);
 
   void* mem = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
                    MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (mem == MAP_FAILED)
     throw Error("shard: mmap of " + std::to_string(size_) +
-                "-byte frame ring failed: " + std::strerror(errno));
+                "-byte shared frame failed: " + std::strerror(errno));
   base_ = static_cast<unsigned char*>(mem);
-  new (base_) RingHeader();
-  for (int w = 0; w < workers_; ++w)
-    new (base_ + slab_off_ + sizeof(WorkerSlab) * w) WorkerSlab();
-  for (int s = 0; s < slots_; ++s)
-    new (base_ + slot0_off_ + slot_stride_ * s) SlotHeader();
+  new (base_) FrameHeader();
+  for (int w = 0; w < workers; ++w)
+    new (base_ + sizeof(FrameHeader) + sizeof(WorkerSlab) * w) WorkerSlab();
+  src_ = {base_ + src_off, geometry.src_w, geometry.src_h, geometry.channels,
+          src_pitch};
+  dst_ = {base_ + dst_off, geometry.dst_w, geometry.dst_h, geometry.channels,
+          dst_pitch};
 }
 
-FrameRing::~FrameRing() {
+SharedFrame::~SharedFrame() {
   if (base_ != nullptr) munmap(base_, size_);
 }
 
-RingHeader& FrameRing::header() const noexcept {
-  return *reinterpret_cast<RingHeader*>(base_);
+FrameHeader& SharedFrame::header() const noexcept {
+  return *reinterpret_cast<FrameHeader*>(base_);
 }
 
-WorkerSlab& FrameRing::slab(int worker) const noexcept {
-  return *reinterpret_cast<WorkerSlab*>(base_ + slab_off_ +
+WorkerSlab& SharedFrame::slab(int worker) const noexcept {
+  return *reinterpret_cast<WorkerSlab*>(base_ + sizeof(FrameHeader) +
                                         sizeof(WorkerSlab) * worker);
-}
-
-SlotHeader& FrameRing::slot(int s) const noexcept {
-  return *reinterpret_cast<SlotHeader*>(base_ + slot0_off_ + slot_stride_ * s);
-}
-
-img::View8 FrameRing::slot_src(int s) const noexcept {
-  return {base_ + slot0_off_ + slot_stride_ * s + src_off_, geo_.src_w,
-          geo_.src_h, geo_.channels, src_pitch_};
-}
-
-img::View8 FrameRing::slot_dst(int s) const noexcept {
-  return {base_ + slot0_off_ + slot_stride_ * s + dst_off_, geo_.dst_w,
-          geo_.dst_h, geo_.channels, dst_pitch_};
 }
 
 }  // namespace fisheye::shard

@@ -1,8 +1,9 @@
-// DMA engine: functional copies, accounting, alignment and capacity rules.
+// DMA copies: exact windows, round trips, alignment and capacity rules.
 #include <gtest/gtest.h>
 
 #include "accel/dma.hpp"
 #include "util/aligned.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace fisheye::accel {
@@ -18,14 +19,12 @@ img::Image8 random_image(int w, int h, int ch, std::uint64_t seed) {
 }
 
 TEST(Dma, GetRectCopiesExactWindow) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
   const img::Image8 src = random_image(32, 16, 3, 1);
   const par::Rect box{5, 3, 21, 11};
   util::AlignedBuffer<std::uint8_t> local(
       static_cast<std::size_t>(box.area()) * 3);
   const std::size_t moved =
-      dma.get_rect(src.view(), box, local.data(), local.size());
+      dma_get_rect(src.view(), box, local.data(), local.size());
   EXPECT_EQ(moved, static_cast<std::size_t>(box.area()) * 3);
   for (int y = 0; y < box.height(); ++y)
     for (int x = 0; x < box.width(); ++x)
@@ -35,15 +34,13 @@ TEST(Dma, GetRectCopiesExactWindow) {
 }
 
 TEST(Dma, PutRectRoundTrip) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
   const img::Image8 src = random_image(24, 24, 1, 2);
   img::Image8 dst(24, 24, 1);
   const par::Rect box{4, 8, 20, 16};
   util::AlignedBuffer<std::uint8_t> local(
       static_cast<std::size_t>(box.area()));
-  dma.get_rect(src.view(), box, local.data(), local.size());
-  dma.put_rect(local.data(), dst.view(), box);
+  dma_get_rect(src.view(), box, local.data(), local.size());
+  dma_put_rect(local.data(), dst.view(), box);
   for (int y = box.y0; y < box.y1; ++y)
     for (int x = box.x0; x < box.x1; ++x)
       EXPECT_EQ(dst.at(x, y), src.at(x, y));
@@ -52,75 +49,30 @@ TEST(Dma, PutRectRoundTrip) {
   EXPECT_EQ(dst.at(23, 23), 0);
 }
 
-TEST(Dma, StatsAccumulate) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
-  const img::Image8 src = random_image(64, 64, 1, 3);
-  util::AlignedBuffer<std::uint8_t> local(64 * 64);
-  dma.get_rect(src.view(), {0, 0, 64, 64}, local.data(), local.size());
-  EXPECT_EQ(dma.stats().transfers, 1u);
-  EXPECT_EQ(dma.stats().bytes_in, 4096u);
-  EXPECT_EQ(dma.stats().bytes_out, 0u);
-  EXPECT_GT(dma.stats().cycles, cost.dma_latency_cycles);
-
-  img::Image8 dst(64, 64, 1);
-  dma.put_rect(local.data(), dst.view(), {0, 0, 64, 64});
-  EXPECT_EQ(dma.stats().transfers, 2u);
-  EXPECT_EQ(dma.stats().bytes_out, 4096u);
-}
-
-TEST(Dma, LargeTransfersSplitIntoListElements) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
-  // 40 KB > 16 KB element size -> 3 elements.
-  std::vector<std::uint8_t> host(40 * 1024, 7);
-  util::AlignedBuffer<std::uint8_t> local(40 * 1024);
-  dma.get_linear(host.data(), host.size(), local.data(), local.size());
-  EXPECT_EQ(dma.stats().transfers, 1u);
-  EXPECT_EQ(dma.stats().list_elements, 3u);
-}
-
-TEST(Dma, CycleCostMatchesModel) {
-  SpeCostModel cost;
-  cost.dma_latency_cycles = 100.0;
-  cost.dma_bytes_per_cycle = 4.0;
-  DmaEngine dma(cost);
-  std::vector<std::uint8_t> host(1024);
-  util::AlignedBuffer<std::uint8_t> local(1024);
-  dma.get_linear(host.data(), 1024, local.data(), local.size());
-  EXPECT_DOUBLE_EQ(dma.stats().cycles, 100.0 + 1024.0 / 4.0);
-}
-
 TEST(Dma, CapacityViolationThrows) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
   const img::Image8 src = random_image(32, 32, 1, 5);
   util::AlignedBuffer<std::uint8_t> local(100);
   EXPECT_THROW(
-      dma.get_rect(src.view(), {0, 0, 32, 32}, local.data(), local.size()),
+      dma_get_rect(src.view(), {0, 0, 32, 32}, local.data(), local.size()),
       fisheye::InvalidArgument);
 }
 
 TEST(Dma, MisalignedLocalViolatesContract) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
   const img::Image8 src = random_image(8, 8, 1, 5);
   util::AlignedBuffer<std::uint8_t> local(256);
   EXPECT_THROW(
-      dma.get_rect(src.view(), {0, 0, 8, 8}, local.data() + 1, 128),
+      dma_get_rect(src.view(), {0, 0, 8, 8}, local.data() + 1, 128),
       fisheye::InvalidArgument);
 }
 
 TEST(Dma, OutOfImageRectViolatesContract) {
-  const SpeCostModel cost;
-  DmaEngine dma(cost);
   const img::Image8 src = random_image(8, 8, 1, 5);
   util::AlignedBuffer<std::uint8_t> local(256);
   EXPECT_THROW(
-      dma.get_rect(src.view(), {0, 0, 9, 8}, local.data(), local.size()),
+      dma_get_rect(src.view(), {0, 0, 9, 8}, local.data(), local.size()),
       fisheye::InvalidArgument);
   img::Image8 dst(8, 8, 1);
-  EXPECT_THROW(dma.put_rect(local.data(), dst.view(), {-1, 0, 4, 4}),
+  EXPECT_THROW(dma_put_rect(local.data(), dst.view(), {-1, 0, 4, 4}),
                fisheye::InvalidArgument);
 }
 

@@ -122,8 +122,8 @@ TEST(FuzzBackendSpec, OutOfRangeValuesThrowInvalidArgument) {
       "fpga:ddr=-1",        "cluster:ranks=0",     "cluster:ranks=100000",
       "cluster:speed=0",    "cluster:speed=-2",
       "shard:0",            "shard:-1",            "shard:65",
-      "shard:workers=0",    "shard:workers=100000", "shard:ring=0",
-      "shard:ring=17",      "shard:timeout_ms=0",  "shard:heartbeat_ms=0",
+      "shard:workers=0",    "shard:workers=100000",
+      "shard:timeout_ms=0", "shard:heartbeat_ms=0",
       "shard:heartbeat_ms=99999999", "shard:4,8",  "shard:workers=zzz",
       "simd:datapath=avx9", "simd:datapath=",      "pool:datapath=soa",
       "simd:tuned=zzz",     "simd:tuned=auto/9",   "simd:tuned=gather/256/-/-",
@@ -231,7 +231,7 @@ TEST(FuzzBackendSpec, InRangeSpecsRoundTrip) {
       "fpga:clock=100,cache=32x8x8x1",
       "cluster:ranks=4,net=gige,scatter",
       "shard:4",
-      "shard:workers=2,ring=2,timeout_ms=500,heartbeat_ms=50",
+      "shard:workers=2,timeout_ms=500,heartbeat_ms=50",
   };
   for (const char* spec : good) {
     const std::unique_ptr<Backend> b = BackendRegistry::create(spec);

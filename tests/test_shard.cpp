@@ -3,10 +3,10 @@
 // scalar kernel, disjoint strips, regardless of which side of the fork
 // computes a strip); a SIGKILLed worker costs at most frame latency —
 // never a wrong pixel — and is respawned; a stopped (silent) worker is
-// detected as stalled and its strips lease back to the supervisor; the
-// ring's generation counters survive slot reuse (wraparound) with
-// distinct per-frame content; workers whose supervisor dies exit, and
-// they hold none of the host's descriptors.
+// detected as stalled and its strips lease back to the supervisor; a late
+// worker never publishes its strip of an earlier frame into a later one;
+// a respawn whose fork fails leaves the host running; workers whose
+// supervisor dies exit, and they hold none of the host's descriptors.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -15,12 +15,18 @@
 
 #include <cerrno>
 #include <csignal>
+#include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <thread>
 
 #ifdef __linux__
+#include <linux/audit.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #endif
 
 #include "core/backend_registry.hpp"
@@ -28,6 +34,7 @@
 #include "image/image.hpp"
 #include "runtime/timer.hpp"
 #include "shard/shard_backend.hpp"
+#include "util/error.hpp"
 #include "util/mathx.hpp"
 #include "video/pipeline.hpp"
 
@@ -57,6 +64,37 @@ bool eventually(Pred pred, double timeout_s = 10.0) {
   }
   return pred();
 }
+
+#ifdef __linux__
+/// Installs a seccomp filter that fails clone and clone3 with EAGAIN in
+/// every thread of this process, so neither fork nor a new thread can
+/// start. Returns false when the host has no seccomp (or an unknown arch).
+bool forbid_clone() {
+#if defined(__x86_64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_X86_64;
+#elif defined(__aarch64__)
+  constexpr std::uint32_t kArch = AUDIT_ARCH_AARCH64;
+#else
+  constexpr std::uint32_t kArch = 0;
+#endif
+  if (kArch == 0) return false;
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, kArch, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_clone, 2, 0),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_clone3, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | EAGAIN),
+  };
+  const sock_fprog prog{static_cast<unsigned short>(std::size(filter)),
+                        filter};
+  return prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         syscall(SYS_seccomp, SECCOMP_SET_MODE_FILTER,
+                 SECCOMP_FILTER_FLAG_TSYNC, &prog) == 0;
+}
+#endif
 
 struct Harness {
   Corrector corr = Corrector::builder(kW, kH).fov_degrees(180.0).build();
@@ -89,27 +127,6 @@ TEST(Shard, MatchesSerialBitExact) {
     EXPECT_EQ(st.workers, 4);
     EXPECT_EQ(st.frames, 4u);
     EXPECT_EQ(st.respawns, 0u);
-  }
-}
-
-TEST(Shard, RingWraparoundKeepsFramesDistinct) {
-  // ring=2 forces slot reuse from the third frame on; every frame must
-  // still match its own serial reference (generation counters keep a
-  // late worker from computing a reused slot's old content).
-  Harness h;
-  ShardOptions o;
-  o.workers = 2;
-  o.ring = 2;
-  o.heartbeat_ms = 20;
-  ShardBackend backend(o);
-  const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
-  for (int i = 0; i < 6; ++i) {
-    const img::Image8 src = fisheye_frame(i);
-    const img::Image8 ref = h.reference(src);
-    img::Image8 out(kW, kH, 1);
-    h.corr.correct(prepared, src.view(), out.view());
-    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()))
-        << "frame " << i;
   }
 }
 
@@ -154,10 +171,11 @@ TEST(Shard, KilledWorkerIsRespawnedAndFramesStayBitExact) {
   // Post-recovery frames are bit-exact, and the respawned worker takes
   // its strip back (a frame with no supervisor fallback).
   ASSERT_TRUE(eventually([&] {
+    const std::size_t before = backend.last_stats().fallback_strips;
     out.fill(0);
     h.corr.correct(prepared, src.view(), out.view());
     EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
-    return prepared.plan.instrumentation().fallback_strips == 0;
+    return backend.last_stats().fallback_strips == before;
   })) << "respawned worker never resumed computing its strip";
 }
 
@@ -190,10 +208,11 @@ TEST(Shard, StalledWorkerLeasesStripToSupervisor) {
   })) << "stall was never detected";
 
   // Once stalled, frames no longer pay the deadline wait for that shard.
+  const std::size_t before = backend.last_stats().fallback_strips;
   out.fill(0);
   h.corr.correct(prepared, src.view(), out.view());
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
-  EXPECT_GE(prepared.plan.instrumentation().fallback_strips, 1u);
+  EXPECT_GE(backend.last_stats().fallback_strips - before, 1u);
 
   // Resume (or, if the supervisor already escalated to SIGKILL, respawn):
   // either way the shard must come back live, and frames stay bit-exact.
@@ -204,6 +223,110 @@ TEST(Shard, StalledWorkerLeasesStripToSupervisor) {
   out.fill(0);
   h.corr.correct(prepared, src.view(), out.view());
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
+}
+
+TEST(Shard, LateWorkerNeverPublishesAStaleStrip) {
+  // Six distinct frames in rotation, so a strip of an earlier frame shows
+  // as a wrong pixel. A stopped worker misses frames and wakes mid-stream
+  // with old work; only its strips of the frame in flight may be copied
+  // out of the shared output frame.
+  constexpr int kDistinct = 6;
+  Harness h;
+  std::vector<img::Image8> srcs, refs;
+  for (int i = 0; i < kDistinct; ++i) {
+    srcs.push_back(fisheye_frame(i));
+    refs.push_back(h.reference(srcs.back()));
+  }
+  ShardOptions o;
+  o.workers = 3;
+  o.timeout_ms = 40;
+  o.heartbeat_ms = 20;
+  ShardBackend backend(o);
+  const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
+  img::Image8 out(kW, kH, 1);
+  int frame = 0;
+  const auto run = [&](int frames, const char* phase) {
+    for (int i = 0; i < frames; ++i, ++frame) {
+      const int f = frame % kDistinct;
+      out.fill(0);
+      h.corr.correct(prepared, srcs[f].view(), out.view());
+      EXPECT_TRUE(img::equal_pixels<std::uint8_t>(refs[f].view(), out.view()))
+          << phase << ": frame " << frame;
+    }
+  };
+  run(kDistinct, "warm-up");
+
+  const long victim = backend.workers_info()[1].pid;
+  ASSERT_GT(victim, 0);
+  ASSERT_EQ(kill(static_cast<pid_t>(victim), SIGSTOP), 0);
+  run(12, "stopped");
+  // The monitor may already have killed and respawned it; then SIGCONT
+  // reaches no one and the respawned worker is the late one.
+  kill(static_cast<pid_t>(victim), SIGCONT);
+  run(24, "resumed");
+  ASSERT_TRUE(eventually([&] {
+    run(1, "rejoining");
+    return backend.workers_info()[1].live;
+  })) << "worker never came back";
+  run(12, "live again");
+}
+
+TEST(Shard, FailedRespawnLeavesTheHostRunning) {
+#ifndef __linux__
+  GTEST_SKIP() << "failing fork on demand needs seccomp";
+#else
+  // A host process plans a fleet, then makes every fork in every one of
+  // its threads fail with EAGAIN and kills a worker: the monitor's respawn
+  // fails. The host must keep correcting frames, bit-exact, with the
+  // supervisor computing the dead shard's strip.
+  constexpr int kNoSeccomp = 77;
+  const pid_t host = fork();
+  ASSERT_GE(host, 0);
+  if (host == 0) {
+    int code = 1;
+    try {
+      Harness h;
+      ShardOptions o;
+      o.workers = 2;
+      o.timeout_ms = 100;
+      o.heartbeat_ms = 20;
+      ShardBackend backend(o);
+      const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
+      const img::Image8 src = fisheye_frame(0);
+      const img::Image8 ref = h.reference(src);
+      img::Image8 out(kW, kH, 1);
+      h.corr.correct(prepared, src.view(), out.view());
+      if (!forbid_clone()) {
+        code = kNoSeccomp;
+      } else {
+        kill(static_cast<pid_t>(backend.workers_info()[1].pid), SIGKILL);
+        // The monitor reaps the worker and tries to fork its successor.
+        eventually([&] { return backend.workers_info()[1].pid < 0; });
+        bool exact = true;
+        for (int i = 0; i < 20; ++i) {
+          out.fill(0);
+          h.corr.correct(prepared, src.view(), out.view());
+          exact = exact &&
+                  img::equal_pixels<std::uint8_t>(ref.view(), out.view());
+        }
+        code = exact && backend.last_stats().respawns == 0 ? 0 : 2;
+      }
+    } catch (...) {
+      code = 3;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  while (waitpid(host, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (WIFEXITED(status) && WEXITSTATUS(status) == kNoSeccomp)
+    GTEST_SKIP() << "seccomp is unavailable here";
+  const bool signaled = WIFSIGNALED(status);
+  ASSERT_FALSE(signaled) << "the host died of signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: no frame ran, 2: a frame differed or a respawn was counted, "
+         "3: the host threw";
+#endif
 }
 
 TEST(Shard, WorkersExitWhenTheSupervisorDies) {
@@ -332,8 +455,8 @@ TEST(Shard, ZeroCopyIngestSkipsSourceTransport) {
   const rt::ShardStats copied = backend.last_stats();
   EXPECT_GT(copied.transport_in_bytes, 0u);
 
-  // Zero-copy path: render straight into the ring slot the next frame
-  // reads; execute() detects the aliasing and skips the staging copy.
+  // Zero-copy path: render straight into the shared source frame;
+  // execute() detects the aliasing and skips the staging copy.
   const img::View8 in = backend.next_input();
   ASSERT_EQ(in.width, kW);
   ASSERT_EQ(in.height, kH);
@@ -355,9 +478,11 @@ TEST(Shard, RegistrySpecRoundTripsAndClampsToRows) {
   const std::unique_ptr<core::Backend> b2 =
       core::BackendRegistry::create(b->name());
   EXPECT_EQ(b2->name(), b->name());
-  EXPECT_EQ(core::BackendRegistry::create("shard:2,ring=2,timeout_ms=100")
-                ->name(),
-            "shard:workers=2,ring=2,timeout_ms=100");
+  EXPECT_EQ(core::BackendRegistry::create("shard:2,timeout_ms=100")->name(),
+            "shard:workers=2,timeout_ms=100");
+  // One frame in flight needs one shared frame; the old slot count is gone.
+  EXPECT_THROW((void)core::BackendRegistry::create("shard:ring=2"),
+               InvalidArgument);
 
   // More workers than output rows: the plan clamps the fleet, and the
   // tiny frame still corrects bit-exactly.
@@ -376,23 +501,6 @@ TEST(Shard, RegistrySpecRoundTripsAndClampsToRows) {
   tiny.correct(src.view(), out.view(), wide);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(ref.view(), out.view()));
   EXPECT_EQ(wide.last_stats().workers, 8);  // one strip per row
-}
-
-TEST(Shard, DescribeSurfacesTransportCounters) {
-  Harness h;
-  ShardOptions o;
-  o.workers = 2;
-  o.heartbeat_ms = 20;
-  ShardBackend backend(o);
-  const Corrector::Prepared prepared = h.corr.prepare(backend, 1);
-  const img::Image8 src = fisheye_frame(0);
-  img::Image8 out(kW, kH, 1);
-  h.corr.correct(prepared, src.view(), out.view());
-  EXPECT_NE(prepared.plan.describe().find("shard[transport="),
-            std::string::npos)
-      << prepared.plan.describe();
-  EXPECT_EQ(prepared.plan.tile_stats().transport_bytes,
-            prepared.plan.instrumentation().transport_bytes);
 }
 
 }  // namespace
