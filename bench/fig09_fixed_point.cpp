@@ -60,11 +60,11 @@ int main(int argc, char** argv) {
   table.print(std::cout, "F9: fixed-point precision");
 
   // The float gather datapath keeps the float LUT and the float kernel's
-  // own arithmetic (max diff 0 vs the per-pixel kernel), while the AVX2
-  // taps buy speed over the SoA kernel. The packed-map gather row is the
-  // control: both gather rows move an 8 B/px map and gather the same taps,
-  // so only the weight arithmetic (float vs 8.8 integer) separates their
-  // times.
+  // own arithmetic (max diff 0 vs the per-pixel kernel), while hardware
+  // gathers buy speed over the SoA kernel. The packed-map gather row is the
+  // control: both gather rows move an 8 B/px map and gather the same taps;
+  // on these gray frames the float gather runs them in one pass of 16-pixel
+  // steps and the packed gather in two passes through the SoA scratch.
   {
     // Floor of 9 reps even under --quick: CI asserts on the vs-soa ratio
     // and on float gather vs packed gather; at 2-5 ms/frame a min of 3
@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
   std::cout << "expected shape: quality saturates once the coordinate LSB "
                "drops below the 8-bit blend quantization (~10 bits); the "
                "integer kernel's speed is precision-independent; the float "
-               "gather datapath is exact (max diff 0), and float and packed "
-               "gather run within ~1.6x of each other (same map bytes, same "
-               "taps; a larger gap means the float pass 1 stopped "
-               "vectorizing).\n";
+               "gather datapath is exact (max diff 0), and the float gather "
+               "takes at most ~1.6x the packed gather's time (same map "
+               "bytes, same taps; a larger gap means the float gather fell "
+               "off its vector path).\n";
   return 0;
 }

@@ -5,6 +5,7 @@
 
 #include "core/camera.hpp"
 #include "core/projection.hpp"
+#include "simd/remap_gather.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
 
@@ -81,6 +82,15 @@ std::string ExecutionPlan::describe() const {
        << interp_name(kernel_.key().interp) << " x "
        << variant_name(kernel_.key().variant);
   os << ", isa=" << util::cpu_info().isa();
+  // The one-pass float gather runs gray float-LUT bilinear plans on the
+  // Scalar and SimdGather entries (resolve_kernel binds both to it).
+  const KernelKey& k = kernel_.key();
+  const bool float_gather = kernel_.valid() && key_.channels == 1 &&
+                            k.mode == MapMode::FloatLut &&
+                            k.interp == Interp::Bilinear &&
+                            k.variant != KernelVariant::SimdSoa;
+  if (const int lanes = simd::gather_lanes(); float_gather && lanes != 0)
+    os << ", gather=" << lanes;
   if (!key_.lens.empty()) os << ", lens=" << key_.lens;
   if (!key_.view.empty()) os << ", view=" << key_.view;
   return os.str();

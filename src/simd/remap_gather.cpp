@@ -1,12 +1,10 @@
-// AVX2 gather datapath — see remap_gather.hpp for the contract.
+// Gather datapath — see remap_gather.hpp for the contract.
 //
-// Every kernel keeps the two-pass strip structure: pass 1 fills the shared
-// SoaScratch, pass 2 gathers eight pixels' taps per iteration with two
+// Packed and compact maps keep the two-pass strip structure: pass 1 fills
+// the shared SoaScratch with clamped tap coordinates and 0..256 integer
+// weights, and pass 2 gathers eight pixels' taps per iteration with two
 // masked dword gathers (the (x0, x0+1) byte pairs of the top and bottom
-// tap rows).
-//
-// Packed and compact maps: pass 1 writes clamped tap coordinates and 0..256
-// integer weights, and pass 2 runs the factored 8.8 blend
+// tap rows) and runs the factored 8.8 blend
 //   v = (256-ay) * ((256-ax) p00 + ax p10) + ay * ((256-ax) p01 + ax p11)
 // in int32 (max 2 * 256 * 255 * 256 < 2^25), rounds half-up and packs to
 // bytes. Lanes excluded from the vector path — invalid samples,
@@ -14,13 +12,19 @@
 // last padded row — are finished by the scalar fixup loop over the same
 // scratch, so every lane runs the identical integer arithmetic.
 //
-// Float maps: pass 1 writes sample_bilinear's own floor, tap coordinates,
-// float weights and interior test, and pass 2 blends interior lanes with
-// its own expression. Every other lane calls core::sample_bilinear itself.
+// Float maps, single channel: one pass. Each 16-pixel step loads 16 map
+// entries and computes sample_bilinear's own floor, float weights and
+// interior test, gathers the taps, blends and stores 16 bytes, all in
+// registers; the step is one AVX-512F vector or two AVX2 halves, with the
+// arithmetic written once over both. Every lane that is not interior, or
+// whose dword read is guarded, calls core::sample_bilinear itself.
+// Multi-channel float maps: pass 1 writes the same floor, taps, weights
+// and interior test to the scratch, and a scalar pass 2 blends.
 #include "simd/remap_gather.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/interp.hpp"
 #include "util/cpu.hpp"
@@ -34,12 +38,6 @@
 #endif
 
 namespace fisheye::simd {
-
-bool gather_compiled() noexcept { return FISHEYE_HAVE_GATHER != 0; }
-
-bool gather_available() noexcept {
-  return gather_compiled() && util::cpu_info().avx2 && !util::force_scalar();
-}
 
 namespace {
 
@@ -199,8 +197,8 @@ inline void blend_strip(const SoaScratch& s, int n,
   blend_span_scalar(s, 0, n, base, pitch, ch, out, fill);
 }
 
-/// One float-LUT strip's pass-2 operands: the sampled view, where it sits
-/// in the full frame, and the strip's map entries (for fallback lanes).
+/// The float gather's operands for one span of a map row: the sampled
+/// view, where it sits in the full frame, and the span's map entries.
 struct FloatStrip {
   img::ConstImageView<std::uint8_t> src;
   const float* mx;
@@ -210,7 +208,7 @@ struct FloatStrip {
   img::BorderMode border;
   std::uint8_t fill;
 
-  /// The per-pixel kernel on slot i: non-interior and guarded lanes. Kept
+  /// The per-pixel kernel on entry i: non-interior and guarded lanes. Kept
   /// out of line so its registers do not spill the vector loop's.
   [[gnu::noinline]] void sample(int i, std::uint8_t* out) const noexcept {
     core::sample_bilinear(src, mx[i] - off_x, my[i] - off_y, border, fill,
@@ -218,14 +216,13 @@ struct FloatStrip {
   }
 };
 
-/// Scalar float pass 2 over scratch slots [i0, i1): interior slots blend
+/// Scalar float pass 2 over scratch slots [0, n): interior slots blend
 /// from the strip weights with sample_bilinear's interior expression;
 /// every other slot runs sample_bilinear.
-void blend_float_span_scalar(const SoaScratch& s, int i0, int i1,
-                             const FloatStrip& f,
+void blend_float_span_scalar(const SoaScratch& s, int n, const FloatStrip& f,
                              std::uint8_t* __restrict out) noexcept {
   const int ch = f.src.channels;
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < n; ++i) {
     std::uint8_t* o = out + static_cast<std::size_t>(i) * ch;
     if (!s.valid[i]) {
       f.sample(i, o);
@@ -247,84 +244,224 @@ void blend_float_span_scalar(const SoaScratch& s, int i0, int i1,
 
 #if FISHEYE_HAVE_GATHER
 
-/// AVX2 float pass 2 for ch == 1 over scratch slots [0, n). `total` is the
-/// source buffer size in bytes, bounding the dword reads. The blend is
-/// written with vector operators, not intrinsics, so the compiler contracts
-/// it (FMA or not) exactly as it contracts sample_bilinear's.
-void blend_float_span_avx2(const SoaScratch& s, int n, const FloatStrip& f,
-                           int total, std::uint8_t* __restrict out) noexcept {
-  const __m256i vpitch = _mm256_set1_epi32(static_cast<int>(f.src.pitch));
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vff = _mm256_set1_epi32(0xFF);
-  const __m256 vhalf = _mm256_set1_ps(0.5f);
-  // Vector lanes read 4 bytes at `bot`: require bot + 4 <= total.
-  const __m256i vlim = _mm256_set1_epi32(total - 3);
-  const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  const int* ibase = reinterpret_cast<const int*>(f.src.data);
+/// Pixels per step of the single-channel float gather.
+constexpr int kFloatStep = 16;
 
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i x0 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.x0 + i));
-    const __m256i y0 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.y0 + i));
-    const __m256i interior = _mm256_cmpgt_epi32(
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s.valid + i)),
-        vzero);
-    const __m256i top = _mm256_add_epi32(_mm256_mullo_epi32(y0, vpitch), x0);
-    const __m256i bot = _mm256_add_epi32(top, vpitch);
-    const __m256i vec =
-        _mm256_and_si256(interior, _mm256_cmpgt_epi32(vlim, bot));
+/// The 8-lane AVX2 primitives of the float step: two vectors a step.
+struct Ymm {
+  static constexpr int kLanes = 8;
+  using F = __m256;
+  using I = __m256i;
+  using M = __m256i;  // all-ones lanes
 
-    const __m256i topw = _mm256_mask_i32gather_epi32(vzero, ibase, top, vec, 1);
-    const __m256i botw = _mm256_mask_i32gather_epi32(vzero, ibase, bot, vec, 1);
-    const __m256 p00 = _mm256_cvtepi32_ps(_mm256_and_si256(topw, vff));
-    const __m256 p10 = _mm256_cvtepi32_ps(
-        _mm256_and_si256(_mm256_srli_epi32(topw, 8), vff));
-    const __m256 p01 = _mm256_cvtepi32_ps(_mm256_and_si256(botw, vff));
-    const __m256 p11 = _mm256_cvtepi32_ps(
-        _mm256_and_si256(_mm256_srli_epi32(botw, 8), vff));
-    const __m256 w00 = _mm256_load_ps(s.w00 + i);
-    const __m256 w10 = _mm256_load_ps(s.w10 + i);
-    const __m256 w01 = _mm256_load_ps(s.w01 + i);
-    const __m256 w11 = _mm256_load_ps(s.w11 + i);
-    const __m256 v = w00 * p00 + w10 * p10 + w01 * p01 + w11 * p11;
-    // round_clamp_u8: truncate v + 0.5, then the two saturating packs
-    // clamp to 0..255.
-    const __m256i r = _mm256_cvttps_epi32(v + vhalf);
-    const __m256i p16 = _mm256_packs_epi32(r, r);
-    const __m256i p8 = _mm256_packus_epi16(p16, p16);
-    const __m256i lanes = _mm256_permutevar8x32_epi32(p8, perm);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
-                     _mm256_castsi256_si128(lanes));
-
-    int fix = ~_mm256_movemask_ps(_mm256_castsi256_ps(vec)) & 0xFF;
-    while (fix != 0) {
-      const int j = __builtin_ctz(static_cast<unsigned>(fix));
-      fix &= fix - 1;
-      f.sample(i + j, out + i + j);
-    }
+  static F load(const float* p) noexcept { return _mm256_loadu_ps(p); }
+  static F splat(float v) noexcept { return _mm256_set1_ps(v); }
+  static I splat(int v) noexcept { return _mm256_set1_epi32(v); }
+  static F floor(F v) noexcept { return _mm256_floor_ps(v); }
+  static I trunc(F v) noexcept { return _mm256_cvttps_epi32(v); }
+  static F to_float(I v) noexcept { return _mm256_cvtepi32_ps(v); }
+  static I add(I a, I b) noexcept { return _mm256_add_epi32(a, b); }
+  static I mul(I a, I b) noexcept { return _mm256_mullo_epi32(a, b); }
+  static I byte0(I v) noexcept {
+    return _mm256_and_si256(v, _mm256_set1_epi32(0xFF));
   }
-  blend_float_span_scalar(s, i, n, f, out);
+  static I byte1(I v) noexcept { return byte0(_mm256_srli_epi32(v, 8)); }
+  static M gt(I a, I b) noexcept { return _mm256_cmpgt_epi32(a, b); }
+  static M both(M a, M b) noexcept { return _mm256_and_si256(a, b); }
+  static unsigned bits(M m) noexcept {
+    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(m)));
+  }
+  static I gather(const int* base, I at, M m) noexcept {
+    return _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), base, at, m, 1);
+  }
+  /// Both halves' lanes clamped to 0..255, as 16 bytes: the two saturating
+  /// packs interleave the halves by 128-bit lane, the permute restores order.
+  static void store(std::uint8_t* out, const I (&r)[2]) noexcept {
+    const __m256i p16 = _mm256_packs_epi32(r[0], r[1]);
+    const __m256i p8 = _mm256_packus_epi16(p16, p16);
+    const __m256i bytes = _mm256_permutevar8x32_epi32(
+        p8, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm256_castsi256_si128(bytes));
+  }
+};
+
+#if defined(__AVX512F__)
+/// The 16-lane AVX-512F primitives of the float step: one vector a step.
+/// GCC 12's unmasked forms of several of these merge into an uninitialized
+/// register and, once inlined, warn -Wmaybe-uninitialized; the zero-masking
+/// forms with every lane selected compile to the same instructions.
+struct Zmm {
+  static constexpr int kLanes = 16;
+  using F = __m512;
+  using I = __m512i;
+  using M = __mmask16;
+  static constexpr M kAll = 0xFFFF;
+
+  static F load(const float* p) noexcept { return _mm512_loadu_ps(p); }
+  static F splat(float v) noexcept { return _mm512_set1_ps(v); }
+  static I splat(int v) noexcept { return _mm512_set1_epi32(v); }
+  static F floor(F v) noexcept {
+    return _mm512_maskz_roundscale_ps(
+        kAll, v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static I trunc(F v) noexcept { return _mm512_maskz_cvttps_epi32(kAll, v); }
+  static F to_float(I v) noexcept { return _mm512_maskz_cvtepi32_ps(kAll, v); }
+  static I add(I a, I b) noexcept { return _mm512_add_epi32(a, b); }
+  static I mul(I a, I b) noexcept { return _mm512_mullo_epi32(a, b); }
+  static I byte0(I v) noexcept {
+    return _mm512_and_si512(v, _mm512_set1_epi32(0xFF));
+  }
+  static I byte1(I v) noexcept {
+    return byte0(_mm512_maskz_srli_epi32(kAll, v, 8));
+  }
+  static M gt(I a, I b) noexcept { return _mm512_cmpgt_epi32_mask(a, b); }
+  static M both(M a, M b) noexcept { return static_cast<M>(a & b); }
+  static unsigned bits(M m) noexcept { return m; }
+  static I gather(const int* base, I at, M m) noexcept {
+    return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, at, base, 1);
+  }
+  /// The lanes clamped to 0..255, as 16 bytes.
+  static void store(std::uint8_t* out, const I (&r)[1]) noexcept {
+    const __m512i lo =
+        _mm512_maskz_max_epi32(kAll, r[0], _mm512_setzero_si512());
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm512_maskz_cvtusepi32_epi8(kAll, lo));
+  }
+};
+#endif
+
+// The lane width follows the TU's own target, never a per-file flag: GCC
+// contracts a 512-bit blend into FMA under -mavx512f even without -mfma,
+// so a 16-lane body in an otherwise portable tree would round differently
+// from the sample_bilinear it must equal. Built for AVX-512F, the whole
+// tree is, and both sides contract alike. Where both widths build, Zmm is
+// the faster (DESIGN.md, SimdGather, gives the measurement).
+#if defined(__AVX512F__)
+using FloatLanes = Zmm;
+#else
+using FloatLanes = Ymm;
+#endif
+
+/// The float step's loop invariants, one vector each.
+template <class V>
+struct FloatStepConsts {
+  typename V::F off_x, off_y, one, half;
+  typename V::I pitch;
+  typename V::I last_x;    // src.width - 1
+  typename V::I last_y;    // src.height - 1
+  typename V::I dword_lim;  // total - 3: a dword read at `bot` stays inside
+  typename V::I minus_one;
+  const int* base;
+
+  FloatStepConsts(const FloatStrip& f, int total) noexcept
+      : off_x(V::splat(f.off_x)),
+        off_y(V::splat(f.off_y)),
+        one(V::splat(1.0f)),
+        half(V::splat(0.5f)),
+        pitch(V::splat(static_cast<int>(f.src.pitch))),
+        last_x(V::splat(f.src.width - 1)),
+        last_y(V::splat(f.src.height - 1)),
+        dword_lim(V::splat(total - 3)),
+        minus_one(V::splat(-1)),
+        base(reinterpret_cast<const int*>(f.src.data)) {}
+};
+
+/// core::sample_bilinear on V::kLanes map entries, in registers: its floor,
+/// weights, interior test and blend, truncated as round_clamp_u8 truncates
+/// (V::store clamps). The blend is written with vector operators, not
+/// intrinsics, so the compiler contracts it (FMA or not) exactly as it
+/// contracts sample_bilinear's. Sets in `rest` the lanes whose value does
+/// not stand: not interior, or a dword read that would pass the buffer end.
+template <class V>
+inline typename V::I float_lanes(const float* mx, const float* my,
+                                 const FloatStepConsts<V>& c,
+                                 unsigned& rest) noexcept {
+  using F = typename V::F;
+  using I = typename V::I;
+  using M = typename V::M;
+  const F sx = V::load(mx) - c.off_x;
+  const F sy = V::load(my) - c.off_y;
+  const F fx = V::floor(sx);
+  const F fy = V::floor(sy);
+  const I x0 = V::trunc(fx);
+  const I y0 = V::trunc(fy);
+  const F ax = sx - fx;
+  const F ay = sy - fy;
+  const F w00 = (c.one - ax) * (c.one - ay);
+  const F w10 = ax * (c.one - ay);
+  const F w01 = (c.one - ax) * ay;
+  const F w11 = ax * ay;
+
+  const I top = V::add(V::mul(y0, c.pitch), x0);
+  const I bot = V::add(top, c.pitch);
+  const M interior = V::both(V::both(V::gt(x0, c.minus_one),
+                                     V::gt(y0, c.minus_one)),
+                             V::both(V::gt(c.last_x, x0),
+                                     V::gt(c.last_y, y0)));
+  const M vec = V::both(interior, V::gt(c.dword_lim, bot));
+  const I topw = V::gather(c.base, top, vec);
+  const I botw = V::gather(c.base, bot, vec);
+  const F v = w00 * V::to_float(V::byte0(topw)) +
+              w10 * V::to_float(V::byte1(topw)) +
+              w01 * V::to_float(V::byte0(botw)) +
+              w11 * V::to_float(V::byte1(botw));
+  rest = ~V::bits(vec) & ((1u << V::kLanes) - 1);
+  return V::trunc(v + c.half);
+}
+
+/// One kFloatStep-pixel step from map entries to output bytes. Returns the
+/// pixels whose bytes core::sample_bilinear must still write.
+template <class V>
+inline unsigned float_step(const float* mx, const float* my,
+                           const FloatStepConsts<V>& c,
+                           std::uint8_t* out) noexcept {
+  constexpr int kVectors = kFloatStep / V::kLanes;
+  typename V::I r[kVectors];
+  unsigned rest = 0;
+  for (int k = 0; k < kVectors; ++k) {
+    unsigned lanes = 0;
+    r[k] = float_lanes<V>(mx + k * V::kLanes, my + k * V::kLanes, c, lanes);
+    rest |= lanes << (k * V::kLanes);
+  }
+  V::store(out, r);
+  return rest;
+}
+
+/// Runs the per-pixel kernel on the pixels of `rest`, counted from `i`.
+inline void sample_rest(const FloatStrip& f, int i, unsigned rest,
+                        std::uint8_t* out) noexcept {
+  while (rest != 0) {
+    const int j = i + __builtin_ctz(rest);
+    rest &= rest - 1;
+    f.sample(j, out + j);
+  }
+}
+
+/// Single-channel float gather of map entries [0, n) of `f` to `out`, one
+/// pass. The remainder runs the same step on copies padded with NaN, which
+/// no lane takes as interior, so it reads neither the map nor the source
+/// past their ends.
+void float_span(const FloatStrip& f, int n,
+                const FloatStepConsts<FloatLanes>& c,
+                std::uint8_t* __restrict out) noexcept {
+  int i = 0;
+  for (; i + kFloatStep <= n; i += kFloatStep)
+    sample_rest(f, i, float_step(f.mx + i, f.my + i, c, out + i), out);
+  if (i == n) return;
+  const int r = n - i;
+  float mx[kFloatStep], my[kFloatStep];
+  std::fill(mx, mx + kFloatStep, std::numeric_limits<float>::quiet_NaN());
+  std::fill(my, my + kFloatStep, std::numeric_limits<float>::quiet_NaN());
+  std::copy(f.mx + i, f.mx + n, mx);
+  std::copy(f.my + i, f.my + n, my);
+  std::uint8_t bytes[kFloatStep] = {};
+  const unsigned rest = float_step(mx, my, c, bytes);
+  std::copy(bytes, bytes + r, out + i);
+  sample_rest(f, i, rest & ((1u << r) - 1), out);
 }
 
 #endif  // FISHEYE_HAVE_GATHER
-
-/// Float pass 2 dispatch for one strip: AVX2 when compiled in, the frame
-/// is single-channel, and the byte offsets fit int32; scalar otherwise.
-inline void blend_float_strip(const SoaScratch& s, int n, const FloatStrip& f,
-                              std::uint8_t* __restrict out) noexcept {
-#if FISHEYE_HAVE_GATHER
-  const std::size_t total =
-      f.src.pitch * static_cast<std::size_t>(f.src.height);
-  if (f.src.channels == 1 &&
-      total + 4 <= static_cast<std::size_t>(INT32_MAX)) {
-    blend_float_span_avx2(s, n, f, static_cast<int>(total), out);
-    return;
-  }
-#endif
-  blend_float_span_scalar(s, 0, n, f, out);
-}
 
 /// Cache lines prefetched per strip, bounding the pass-1 overhead: a
 /// 256-pixel strip of a smooth map typically spans a handful of source
@@ -370,6 +507,21 @@ inline void prefetch_strip_sources(const core::CompactMap& map,
 
 }  // namespace
 
+bool gather_compiled() noexcept { return FISHEYE_HAVE_GATHER != 0; }
+
+int gather_lanes() noexcept {
+#if FISHEYE_HAVE_GATHER
+  const util::CpuInfo& cpu = util::cpu_info();
+  const bool runs = cpu.avx2 && (FloatLanes::kLanes < 16 || cpu.avx512f) &&
+                    !util::force_scalar();
+  return runs ? FloatLanes::kLanes : 0;
+#else
+  return 0;
+#endif
+}
+
+bool gather_available() noexcept { return gather_lanes() != 0; }
+
 void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
                            img::ImageView<std::uint8_t> dst,
                            core::MapView map, par::Rect rect,
@@ -383,13 +535,32 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
              rect.y1 <= dst.height);
   FE_EXPECTS(!rect.empty());
 
-  SoaScratch& s = scratch;
   const int ch = src.channels;
-  const int src_w = src.width;
-  const int src_h = src.height;
   const auto off_x = static_cast<float>(src_off_x);
   const auto off_y = static_cast<float>(src_off_y);
 
+#if FISHEYE_HAVE_GATHER
+  const std::size_t total = src.pitch * static_cast<std::size_t>(src.height);
+  if (ch == 1 && total + 4 <= static_cast<std::size_t>(INT32_MAX)) {
+    const FloatStrip frame{src, map.src_x, map.src_y, off_x, off_y,
+                           opts.border, opts.fill};
+    const FloatStepConsts<FloatLanes> c(frame, static_cast<int>(total));
+    for (int y = rect.y0; y < rect.y1; ++y) {
+      const std::size_t at = static_cast<std::size_t>(y) * map.pitch +
+                             static_cast<std::size_t>(rect.x0);
+      FloatStrip f = frame;
+      f.mx += at;
+      f.my += at;
+      float_span(f, rect.x1 - rect.x0, c, dst.row(y) + rect.x0);
+    }
+    return;
+  }
+#endif
+
+  // Multi-channel frames and builds without AVX2: two passes per strip.
+  SoaScratch& s = scratch;
+  const int src_w = src.width;
+  const int src_h = src.height;
   for (int y = rect.y0; y < rect.y1; ++y) {
     const std::size_t row = static_cast<std::size_t>(y) * map.pitch;
     std::uint8_t* __restrict out_row = dst.row(y);
@@ -421,7 +592,8 @@ void remap_bilinear_gather(img::ConstImageView<std::uint8_t> src,
       }
 
       const FloatStrip f{src, mx, my, off_x, off_y, opts.border, opts.fill};
-      blend_float_strip(s, n, f, out_row + static_cast<std::size_t>(xb) * ch);
+      blend_float_span_scalar(s, n, f,
+                              out_row + static_cast<std::size_t>(xb) * ch);
     }
   }
 }

@@ -1,15 +1,14 @@
 // Explicit-intrinsics gather datapath (KernelVariant::SimdGather).
 //
-// The SoA kernels (remap_simd.hpp) leave pass 2 — the four taps per pixel —
-// to scalar loads; the study's hand-SIMDized ports replaced exactly that
-// with hardware gathers. These kernels keep the two-pass strip structure
-// and vectorize pass 2 with AVX2 `_mm256_i32gather_epi32`: one dword gather
-// per tap row fetches the (p0, p1) byte pair for eight output pixels per
-// iteration.
+// The SoA kernels (remap_simd.hpp) leave the four taps per pixel to scalar
+// loads; the study's hand-SIMDized ports replaced exactly that with
+// hardware gathers: one dword gather per tap row fetches the (p0, p1) byte
+// pair of every lane.
 //
 // Contract vs the scalar kernels: bit-exact, all three.
-//  * packed / compact: identical integer expressions and an 8.8 fixed-point
-//    weight blend;
+//  * packed / compact: two passes per strip through the SoA scratch —
+//    identical integer expressions, then an 8.8 fixed-point weight blend
+//    eight pixels per AVX2 iteration;
 //  * float LUT: core::sample_bilinear's own arithmetic — floor, float
 //    weights, interior test, and the blend w00*p00 + w10*p10 + w01*p01 +
 //    w11*p11 written with vector operators, so the compiler contracts it
@@ -18,9 +17,17 @@
 //    offset. Kernel resolution therefore also binds this kernel for the
 //    float bilinear Scalar entry wherever gather_available() holds.
 //
+// Single-channel float frames run one pass, 16 pixels a step from the map
+// row to the output row with everything in registers: one 16-lane vector
+// where this TU is built for AVX-512F, two 8-lane AVX2 halves otherwise.
+// The lane width follows the build's own target, never a per-file flag, so
+// the blend contracts as the reference's does (gather_lanes() reports it).
+// A row's remainder runs the same step on NaN-padded copies of its map
+// entries. Multi-channel float frames keep the two-pass strip and blend
+// scalar from the SoA scratch.
+//
 // Lanes whose 2x2 footprint is not contiguous (edge-clamped taps) or whose
-// dword read would overrun the last padded row take a scalar fixup path;
-// multi-channel frames blend scalar from the SoA scratch.
+// dword read would overrun the last padded row take a scalar path.
 //
 // The compact kernel additionally issues software prefetches for the NEXT
 // strip's source rows, derived from the block-subsampled grid's coarse
@@ -28,8 +35,8 @@
 //
 // This translation unit is compiled with -mavx2 when the toolchain allows
 // (src/simd/CMakeLists.txt); on other targets — or under
-// -DFISHEYE_DISABLE_AVX2=ON — the same entry points fall back to the scalar
-// pass-2 loop and gather_compiled() reports false. Callers do not need to
+// -DFISHEYE_DISABLE_AVX2=ON — the same entry points fall back to scalar
+// loops and gather_compiled() reports false. Callers do not need to
 // care: kernel resolution (core/kernel.cpp) consults gather_available()
 // and degrades SimdGather to SimdSoa/Scalar before these run.
 #pragma once
@@ -49,11 +56,18 @@ namespace fisheye::simd {
 [[nodiscard]] bool gather_compiled() noexcept;
 
 /// True when the gather datapath can run here and now: compiled in, the
-/// executing CPU reports AVX2, and util::force_scalar() is not set.
-/// Kernel resolution consults this to degrade SimdGather gracefully.
+/// executing CPU reports AVX2 (and AVX-512F where this TU was built for
+/// it), and util::force_scalar() is not set. Kernel resolution consults
+/// this to degrade SimdGather gracefully.
 [[nodiscard]] bool gather_available() noexcept;
 
-/// Bilinear remap of `rect` from a float map view, AVX2 gather pass 2.
+/// Lanes per vector of the single-channel float gather's 16-pixel step: 16
+/// where this TU was built for AVX-512F, 8 where for AVX2 alone (two
+/// vectors a step), and 0 where gather_available() is false.
+[[nodiscard]] int gather_lanes() noexcept;
+
+/// Bilinear remap of `rect` from a float map view: one-pass gather steps
+/// for single-channel frames, a scalar pass 2 for multi-channel ones.
 /// Byte for byte core::remap_rect_offset with Interp::Bilinear under any
 /// border mode in `opts` (its interp is not read): `src` is a window whose
 /// top-left sits at (src_off_x, src_off_y) in full-frame coordinates, and

@@ -1,4 +1,4 @@
-// The AVX2 gather datapath vs the scalar reference, and the plan-time
+// The gather datapath vs the scalar reference, and the plan-time
 // machinery around it: datapath=/tuned= spec options, effective-variant
 // degrade (FISHEYE_FORCE_SCALAR, non-AVX2 hosts), the autotuner's
 // resolve-once contract and exactness, and plan describability.
@@ -10,8 +10,8 @@
 // the gather datapath is available, so every scalar float plan depends on
 // it. The float SoA kernel's pixels must not depend on rect offset (vector
 // body and scalar remainder of pass 1 agree). All hold with or without AVX2
-// (the strip structure, not the ISA, defines the arithmetic), so this suite
-// runs unconditionally.
+// and at either float gather lane width (the kernels' expressions, not the
+// ISA, define the arithmetic), so this suite runs unconditionally.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,6 +182,8 @@ class GuardedPage {
   GuardedPage& operator=(const GuardedPage&) = delete;
 
   [[nodiscard]] bool ok() const noexcept { return base_ != nullptr; }
+  /// Readable bytes before the guard page.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   /// Start of a `bytes`-long block that ends on the guard page.
   [[nodiscard]] std::uint8_t* tail(std::size_t bytes) const noexcept {
     return base_ + size_ - bytes;
@@ -193,10 +195,10 @@ class GuardedPage {
 };
 
 TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
-  // pitch == width (single channel, 64-px-multiple row): the vector loop's
+  // pitch == width (single channel, 64-px-multiple row): the vector loops'
   // 4-byte gathers near the bottom-right corner must not read past the
   // buffer (the bot < total-3 lane check routes those through the scalar
-  // fixup). The guard-page case below faults if one does.
+  // fixup). The guard-page cases below fault if one does.
   const int w = 128, h = 32;
   const img::Image8 src = random_image(w, h, 1, 51);
   ASSERT_EQ(src.pitch(), static_cast<std::size_t>(w));
@@ -219,43 +221,55 @@ TEST(GatherKernel, TightPitchLastRowIsSafeAndExact) {
                               opts, scratch);
   EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
 
-  // The same source copied to end on a guard page, every sample in the
-  // bottom-right 2x2 footprint: a dword read there covers the last two
-  // bytes of the buffer and two past it.
-  GuardedPage page;
-  ASSERT_TRUE(page.ok());
-  const std::size_t total = static_cast<std::size_t>(w) * h;
-  std::uint8_t* bytes = page.tail(total);
-  for (int y = 0; y < h; ++y)
-    std::copy(src.row(y), src.row(y) + w,
-              bytes + static_cast<std::size_t>(y) * w);
-  const img::ConstImageView<std::uint8_t> guarded(bytes, w, h, 1,
-                                                  static_cast<std::size_t>(w));
-  for (std::size_t i = 0; i < map.pixel_count(); ++i) {
-    map.src_x[i] = static_cast<float>(rng.uniform(w - 2.0, w - 1.0));
-    map.src_y[i] = static_cast<float>(rng.uniform(h - 2.0, h - 1.0));
+  // A source copied at pitch == width to end on a guard page, every sample
+  // in the bottom-right 2x2 footprint: a dword read there covers the last
+  // two bytes of the buffer and two past it. 128 wide is a whole number of
+  // 16-pixel steps; 136 = 8 * 16 + 8 ends every row in a remainder step.
+  for (const auto& [gw, gh] : {std::pair{128, 32}, std::pair{136, 30}}) {
+    SCOPED_TRACE("guarded w=" + std::to_string(gw));
+    const img::Image8 gsrc = random_image(gw, gh, 1, 53);
+    GuardedPage page;
+    ASSERT_TRUE(page.ok());
+    const std::size_t total = static_cast<std::size_t>(gw) * gh;
+    ASSERT_LE(total, page.size());
+    std::uint8_t* bytes = page.tail(total);
+    for (int y = 0; y < gh; ++y)
+      std::copy(gsrc.row(y), gsrc.row(y) + gw,
+                bytes + static_cast<std::size_t>(y) * gw);
+    const img::ConstImageView<std::uint8_t> guarded(
+        bytes, gw, gh, 1, static_cast<std::size_t>(gw));
+    WarpMap corner;
+    corner.width = gw;
+    corner.height = gh;
+    corner.src_x.resize(corner.pixel_count());
+    corner.src_y.resize(corner.pixel_count());
+    for (std::size_t i = 0; i < corner.pixel_count(); ++i) {
+      corner.src_x[i] = static_cast<float>(rng.uniform(gw - 2.0, gw - 1.0));
+      corner.src_y[i] = static_cast<float>(rng.uniform(gh - 2.0, gh - 1.0));
+    }
+    img::Image8 want(gw, gh, 1), got(gw, gh, 1);
+    core::remap_rect(gsrc.view(), want.view(), corner, {0, 0, gw, gh}, opts);
+    simd::remap_bilinear_gather(guarded, got.view(), corner, {0, 0, gw, gh},
+                                0, 0, opts, scratch);
+    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(want.view(), got.view()));
+    const PackedMap packed = pack_map(corner, gw, gh);
+    remap_packed_rect(gsrc.view(), want.view(), packed, {0, 0, gw, gh}, 0);
+    got.fill(0);
+    simd::remap_packed_gather(guarded, got.view(), packed, {0, 0, gw, gh}, 0,
+                              scratch);
+    EXPECT_TRUE(img::equal_pixels<std::uint8_t>(want.view(), got.view()));
   }
-  core::remap_rect(src.view(), a.view(), map, {0, 0, w, h}, opts);
-  b.fill(0);
-  simd::remap_bilinear_gather(guarded, b.view(), map, {0, 0, w, h}, 0, 0,
-                              opts, scratch);
-  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
-  const PackedMap packed = pack_map(map, w, h);
-  remap_packed_rect(src.view(), a.view(), packed, {0, 0, w, h}, 0);
-  b.fill(0);
-  simd::remap_packed_gather(guarded, b.view(), packed, {0, 0, w, h}, 0,
-                            scratch);
-  EXPECT_TRUE(img::equal_pixels<std::uint8_t>(a.view(), b.view()));
 }
 
 // The float kernels' pass 1 is compiled to vector code, so its arithmetic
 // is pinned on the values that probe it: NaN, infinities, huge magnitudes,
-// signed zero, just-outside negatives, the w - 1 edge from both sides, and
-// the weight-rounding ties k + (m + 0.5) / 256 (exact in float).
+// signed zero, just-outside negatives, the w - 1 edge from both sides, the
+// weight-rounding ties k + (m + 0.5) / 256 (exact in float), and a row
+// index inside int32 whose byte offset y * pitch is not.
 float salt_value(util::Rng& rng, int dim) {
   const float inf = std::numeric_limits<float>::infinity();
   const float edge = static_cast<float>(dim - 1);
-  switch (rng.next_below(14)) {
+  switch (rng.next_below(15)) {
     case 0: return std::numeric_limits<float>::quiet_NaN();
     case 1: return inf;
     case 2: return -inf;
@@ -267,6 +281,7 @@ float salt_value(util::Rng& rng, int dim) {
     case 8: return static_cast<float>(dim - 1 + 1e-6);
     case 9: return std::nextafter(edge, 0.0f);
     case 10: return edge;
+    case 11: return 4e7f;
     default: {
       const auto k = static_cast<float>(
           rng.next_below(static_cast<std::uint64_t>(dim)));
@@ -404,7 +419,9 @@ long long expect_float_bilinear_exact(const img::Image8& src,
 TEST(GatherKernel, FloatMatchesItsContractByteForByteOnSaltedMaps) {
   // The float gather's contract is the per-pixel kernel's bytes. 181 wide
   // pads the pitch; 128 wide single-channel is a tight pitch, so the last
-  // row's dword reads hit the buffer-end guard.
+  // row's dword reads hit the buffer-end guard. Widths 1-33 at x0 = 0 and
+  // x0 = 5 give every row remainder of an 8- and a 16-pixel step, each
+  // crossing the seam between whole steps and the padded remainder.
   for (const int ch : {1, 3}) {
     for (const auto& [w, h] : {std::pair{181, 67}, std::pair{128, 40}}) {
       const img::Image8 src = random_image(w, h, ch, 71);
@@ -415,6 +432,9 @@ TEST(GatherKernel, FloatMatchesItsContractByteForByteOnSaltedMaps) {
                                    {w - 1, h - 1, w, h},
                                    {w / 2, h / 3, w / 2 + 1, h / 3 + 1}};
       for (int r = 0; r < 12; ++r) rects.push_back(odd_rect(w, h, rng));
+      for (const int x0 : {0, 5})
+        for (int width = 1; width <= 33; ++width)
+          rects.push_back({x0, h - 3, x0 + width, h});
       const std::string what = "salted ch=" + std::to_string(ch) +
                                " w=" + std::to_string(w);
       for (const par::Rect& rect : rects)
@@ -765,6 +785,39 @@ TEST(Datapath, DescribeNamesKernelAndIsa) {
             std::string::npos)
       << d;
   EXPECT_NE(d.find("isa="), std::string::npos) << d;
+  // The float gather's lane width is a build fact the host ISA does not
+  // tell: a portable tree on an AVX-512 host runs 8-lane steps.
+  // The gather TU shares this tree's target, so it runs 16-lane steps
+  // exactly where this file is built for AVX-512F.
+#if defined(__AVX512F__)
+  constexpr int kTreeLanes = 16;
+#else
+  constexpr int kTreeLanes = 8;
+#endif
+  const int lanes = simd::gather_lanes();
+  EXPECT_EQ(lanes, simd::gather_available() ? kTreeLanes : 0);
+  // `gather=` names the body a plan runs, so the SoA plan has none ...
+  EXPECT_EQ(d.find(", gather="), std::string::npos) << d;
+  // ... and the gray Scalar and SimdGather float plans have it wherever
+  // the float gather runs.
+  for (const char* spec : {"cpu:threads=1", "cpu:threads=1,datapath=gather"}) {
+    const std::string g =
+        BackendRegistry::create(spec)->plan(f.ctx()).describe();
+    if (lanes == 0) {
+      EXPECT_EQ(g.find(", gather="), std::string::npos) << g;
+    } else {
+      EXPECT_NE(g.find(", gather=" + std::to_string(lanes)), std::string::npos)
+          << g;
+    }
+  }
+  // Multi-channel frames blend scalar from the SoA scratch: no token.
+  img::Image8 rgb_src(kW, kH, 3), rgb_dst(kW, kH, 3);
+  ExecContext rgb = f.ctx();
+  rgb.src = rgb_src.view();
+  rgb.dst = rgb_dst.view();
+  const std::string r =
+      BackendRegistry::create("cpu:threads=1")->plan(rgb).describe();
+  EXPECT_EQ(r.find(", gather="), std::string::npos) << r;
 }
 
 TEST(Datapath, GatherAvailabilityIsConsistent) {
@@ -775,6 +828,7 @@ TEST(Datapath, GatherAvailabilityIsConsistent) {
   }
   ASSERT_EQ(setenv("FISHEYE_FORCE_SCALAR", "1", 1), 0);
   EXPECT_FALSE(simd::gather_available());
+  EXPECT_EQ(simd::gather_lanes(), 0);
   ASSERT_EQ(unsetenv("FISHEYE_FORCE_SCALAR"), 0);
 }
 
